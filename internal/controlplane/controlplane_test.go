@@ -99,6 +99,38 @@ func TestSnapshotWeightsAndDecide(t *testing.T) {
 	}
 }
 
+// TestSnapshotNeverDecidesUnloadedDatacenter: a datacenter a front-end
+// routes no load to (λ_ij = 0, e.g. beyond the sparsity cutoff) must get
+// weight exactly 0, and a draw just below 1 must not land on it — even
+// when normalizing the row leaves a rounding residue below 1.
+func TestSnapshotNeverDecidesUnloadedDatacenter(t *testing.T) {
+	for _, row := range [][]float64{
+		{7.62280082457942, 0.021060533511106927, 4.453871940548014, 0}, // Σ·(1/Σ) rounds below 1
+		{2.1659939713061336, 0, 4.221165755827173, 0.29040787574867943, 0, 0},
+		{0, 0, 5, 0},
+		{-1e-18, 3, 0, 1},
+		{1, 2, 3},
+	} {
+		n := len(row)
+		s := NewSnapshot(0, &core.Allocation{Lambda: [][]float64{row}, MuMW: make([]float64, n)}, SolveInfo{})
+		w := make([]float64, n)
+		s.Weights(0, w)
+		for j, v := range row {
+			if v <= 0 && w[j] != 0 {
+				t.Errorf("row %v: weight[%d] = %g for a datacenter with no load", row, j, w[j])
+			}
+		}
+		for _, u := range []float64{0, 0.5, math.Nextafter(1, 0)} {
+			if j := s.decide(0, u); row[j] <= 0 {
+				t.Errorf("row %v: decide(%v) = %d, a datacenter with no load", row, u, j)
+			}
+		}
+		if e := s.MaxRowError(); e != 0 {
+			t.Errorf("row %v: last cumulative bound off 1 by %g", row, e)
+		}
+	}
+}
+
 func TestDecideZeroAlloc(t *testing.T) {
 	trace, opts := testTrace(t, 4, 10, 1, 0)
 	p, err := New(Config{Instance: trace, Solver: opts})
@@ -353,6 +385,54 @@ func TestRunLoopServesConcurrently(t *testing.T) {
 	r := p.Report()
 	if r.Solves == 0 || r.Slot < 0 {
 		t.Fatalf("loop made no progress: %+v", r)
+	}
+}
+
+// TestRunLoopWaitsForFirstInterval: Run solves slot 0 itself, so the
+// loop's first slot is due SlotInterval later, not immediately.
+func TestRunLoopWaitsForFirstInterval(t *testing.T) {
+	trace, opts := testTrace(t, 4, 10, 1, 0)
+	p, err := New(Config{Instance: trace, Solver: opts, SlotInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Run(); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if err := p.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	if r := p.Report(); r.Solves != 1 || r.Slot != 0 {
+		t.Fatalf("loop ran a slot before its interval: %+v", r)
+	}
+}
+
+// TestRunSlotWhileRunning drives RunSlot directly while a free-running
+// loop solves beside it. Slots are serialized on the pipeline's one
+// engine, so the race detector stays quiet and no slot is lost: every
+// slot number from 0 to the last was solved exactly once.
+func TestRunSlotWhileRunning(t *testing.T) {
+	trace, opts := testTrace(t, 4, 10, 1, 4)
+	p, err := New(Config{Instance: trace, Solver: opts, WarmStart: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Run(); err != nil {
+		t.Fatal(err)
+	}
+	const direct = 20
+	for k := 0; k < direct; k++ {
+		if err := p.RunSlot(); err != nil {
+			t.Fatalf("direct slot %d: %v", k, err)
+		}
+	}
+	if err := p.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	r := p.Report()
+	if r.Solves < direct+1 || r.Solves != uint64(r.Slot+1) {
+		t.Fatalf("report %+v: want at least %d solves, one per slot 0..%d", r, direct+1, r.Slot)
 	}
 }
 

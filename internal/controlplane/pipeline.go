@@ -86,6 +86,9 @@ type Pipeline struct {
 	cache  *memoCache
 	digest []byte // reused key scratch
 
+	// mu serializes slots: the loop and direct RunSlot callers share one
+	// engine and one iterate.
+	mu   sync.Mutex
 	slot int64
 
 	solves      telemetry.Counter
@@ -179,9 +182,12 @@ func (r *Router) slotOrMinusOne() int64 {
 
 // RunSlot ingests and publishes exactly one slot. It is the pipeline's
 // unit of work: Run calls it on the pacing loop, tests and the bench
-// runner call it directly. Not safe for concurrent use with itself or
-// Run — there is one engine.
+// runner call it directly. Slots are serialized — there is one engine —
+// so a direct call while Run is active waits for the loop's slot in
+// flight, and the loop's next slot waits for it.
 func (p *Pipeline) RunSlot() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.slot++
 	slot := p.slot
 	inst := p.cfg.Instance(slot)
@@ -277,33 +283,35 @@ func (p *Pipeline) publish(s *Snapshot) {
 // the interval is zero) until Stop. The first solve happens before Run
 // returns, so callers observe a live snapshot immediately.
 func (p *Pipeline) Run() error {
+	next := time.Now().Add(p.cfg.SlotInterval)
 	if err := p.RunSlot(); err != nil {
 		return err
 	}
 	p.loopStarted = true
-	go p.loop()
+	go p.loop(next)
 	return nil
 }
 
-func (p *Pipeline) loop() {
+// loop runs a slot at next and every SlotInterval after, until Stop.
+func (p *Pipeline) loop(next time.Time) {
 	defer close(p.done)
 	for {
-		next := time.Now().Add(p.cfg.SlotInterval)
-		select {
-		case <-p.stop:
-			return
-		default:
-		}
-		if err := p.RunSlot(); err != nil {
-			p.runErr = err
-			return
-		}
 		if wait := time.Until(next); wait > 0 {
 			select {
 			case <-p.stop:
 				return
 			case <-time.After(wait):
 			}
+		}
+		select {
+		case <-p.stop:
+			return
+		default:
+		}
+		next = time.Now().Add(p.cfg.SlotInterval)
+		if err := p.RunSlot(); err != nil {
+			p.runErr = err
+			return
 		}
 	}
 }
@@ -318,7 +326,9 @@ func (p *Pipeline) Stop() error {
 	if p.loopStarted {
 		<-p.done
 	}
+	p.mu.Lock()
 	p.eng.Close()
+	p.mu.Unlock()
 	return p.runErr
 }
 

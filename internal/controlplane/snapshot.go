@@ -49,7 +49,9 @@ type Snapshot struct {
 
 // NewSnapshot builds a snapshot from a finalized allocation. Rows with no
 // routed load (a zero-demand front-end) fall back to the uniform
-// distribution so every lookup still returns a datacenter.
+// distribution so every lookup still returns a datacenter. Otherwise a
+// datacenter with no routed load — λ_ij = 0, say beyond the sparsity
+// cutoff — gets weight exactly 0 and is never decided.
 func NewSnapshot(slot int64, alloc *core.Allocation, info SolveInfo) *Snapshot {
 	m := len(alloc.Lambda)
 	n := len(alloc.MuMW)
@@ -57,24 +59,29 @@ func NewSnapshot(slot int64, alloc *core.Allocation, info SolveInfo) *Snapshot {
 	for i := 0; i < m; i++ {
 		row := s.cum[i*n : (i+1)*n]
 		var total float64
+		last := -1 // the last column with positive routed load
 		for j, v := range alloc.Lambda[i] {
-			if v < 0 {
-				v = 0
+			if v > 0 {
+				total += v
+				last = j
 			}
-			total += v
 			row[j] = total
 		}
-		if total <= 0 {
+		if last < 0 {
 			for j := range row {
 				row[j] = float64(j+1) / float64(n)
 			}
 			continue
 		}
 		inv := 1 / total
-		for j := range row {
+		for j := range row[:last] {
 			row[j] *= inv
 		}
-		row[n-1] = 1 // guard against rounding leaving the last bound < 1
+		// The bound reaches 1 at the last loaded column, so the rounding
+		// residue of the normalization never lands on a column after it.
+		for j := last; j < n; j++ {
+			row[j] = 1
+		}
 	}
 	return s
 }

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -36,13 +37,19 @@ func chaosPolicy() *distsim.Resilience {
 // runChaos executes one resilient distributed solve under plan.
 func runChaos(t *testing.T, inst *core.Instance, plan *distsim.FaultPlan, pol *distsim.Resilience) *distsim.Result {
 	t.Helper()
+	return runChaosWith(t, inst, core.Options{}, plan, pol)
+}
+
+// runChaosWith is runChaos with explicit solver options.
+func runChaosWith(t *testing.T, inst *core.Instance, opts core.Options, plan *distsim.FaultPlan, pol *distsim.Resilience) *distsim.Result {
+	t.Helper()
 	m, n := inst.Cloud.M(), inst.Cloud.N()
 	inner := distsim.NewChanTransport(distsim.AllAgentIDs(m, n), distsim.ChanOptions{})
 	tr, err := distsim.NewFaultTransport(inner, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := distsim.Run(context.Background(), inst, distsim.RunOptions{Resilience: pol}, tr)
+	res, err := distsim.Run(context.Background(), inst, distsim.RunOptions{Solver: opts, Resilience: pol}, tr)
 	_ = tr.Close() //ufc:discard in-process transport; Run already surfaced any failure
 	if err != nil {
 		t.Fatalf("chaos run: %v", err)
@@ -92,31 +99,59 @@ func TestChaosZeroFaultPlanBitIdentical(t *testing.T) {
 	}
 }
 
+// chaosLinkCells is the loss × delay × duplication sweep of the chaos
+// matrices.
+var chaosLinkCells = []struct {
+	name string
+	link distsim.LinkFault
+}{
+	{"loss10", distsim.LinkFault{DropProb: 0.1}},
+	{"loss20", distsim.LinkFault{DropProb: 0.2}},
+	{"delay", distsim.LinkFault{MaxExtraDelayMS: 3}},
+	{"dup", distsim.LinkFault{DupProb: 0.3}},
+	{"loss+delay", distsim.LinkFault{DropProb: 0.15, MaxExtraDelayMS: 2, DelayProb: 0.5}},
+	{"loss+dup", distsim.LinkFault{DropProb: 0.1, DupProb: 0.2}},
+}
+
 // TestChaosMatrix sweeps loss × delay × duplication. Link faults are
 // recoverable by retransmission and deduplication, so every cell must
 // produce the exact fault-free solution — and two same-seed runs must
 // produce byte-identical slot logs.
 func TestChaosMatrix(t *testing.T) {
-	inst := testInstance(t, 1)
-	_, seqBD, seqStats, err := core.Solve(inst, core.Options{})
+	chaosLinkMatrix(t, testInstance(t, 1), core.Options{})
+}
+
+// TestChaosMatrixSparse runs the link-fault sweep on a sparse topology: a
+// small two-region fleet solved with its region cutoff, whose agents
+// exchange messages only across intra-region pairs. Every cell must
+// reproduce the fault-free masked solution and replay byte-identically.
+func TestChaosMatrixSparse(t *testing.T) {
+	inst, opts := chaosSparseFleet(t)
+	chaosLinkMatrix(t, inst, opts)
+}
+
+// chaosSparseFleet is the sparse chaos topology: 8 front-ends and 4
+// datacenters in 2 regions, with the solver's cutoff at the region
+// cutoff.
+func chaosSparseFleet(t *testing.T) (*core.Instance, core.Options) {
+	t.Helper()
+	st, err := experiments.NewSyntheticTopology(experiments.Topology{N: 4, M: 8, Regions: 2}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells := []struct {
-		name string
-		link distsim.LinkFault
-	}{
-		{"loss10", distsim.LinkFault{DropProb: 0.1}},
-		{"loss20", distsim.LinkFault{DropProb: 0.2}},
-		{"delay", distsim.LinkFault{MaxExtraDelayMS: 3}},
-		{"dup", distsim.LinkFault{DupProb: 0.3}},
-		{"loss+delay", distsim.LinkFault{DropProb: 0.15, MaxExtraDelayMS: 2, DelayProb: 0.5}},
-		{"loss+dup", distsim.LinkFault{DropProb: 0.1, DupProb: 0.2}},
+	return st.Instance(1), core.Options{SparsityCutoff: st.CutoffSec}
+}
+
+// chaosLinkMatrix runs every link-fault cell on inst under opts.
+func chaosLinkMatrix(t *testing.T, inst *core.Instance, opts core.Options) {
+	_, seqBD, seqStats, err := core.Solve(inst, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, cell := range cells {
+	for _, cell := range chaosLinkCells {
 		t.Run(cell.name, func(t *testing.T) {
 			plan := &distsim.FaultPlan{Seed: 1234, Links: []distsim.LinkFault{cell.link}}
-			res := runChaos(t, inst, plan, chaosPolicy())
+			res := runChaosWith(t, inst, opts, plan, chaosPolicy())
 			if !res.Stats.Converged {
 				t.Fatalf("cell did not converge: %+v", res.Stats)
 			}
@@ -124,11 +159,36 @@ func TestChaosMatrix(t *testing.T) {
 				t.Fatalf("recoverable faults changed the solution: UFC %v (want %v), iters %d (want %d)",
 					res.Breakdown.UFC, seqBD.UFC, res.Stats.Iterations, seqStats.Iterations)
 			}
-			replay := runChaos(t, inst, plan, chaosPolicy())
+			replay := runChaosWith(t, inst, opts, plan, chaosPolicy())
 			if got, want := slotBytes(t, replay), slotBytes(t, res); !bytes.Equal(got, want) {
 				t.Fatalf("same-seed replay produced different slot log:\n%s\n%s", want, got)
 			}
 		})
+	}
+}
+
+// TestChaosSparseDatacenterCrash: on the sparse topology, a datacenter
+// crash mid-solve under 10% loss must complete degraded — the crashed
+// datacenter declared dead, its region's front-ends routing around it —
+// and replay to a byte-identical slot log.
+func TestChaosSparseDatacenterCrash(t *testing.T) {
+	inst, opts := chaosSparseFleet(t)
+	_, _, seqStats, err := core.Solve(inst, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := &distsim.FaultPlan{
+		Seed:    21,
+		Links:   []distsim.LinkFault{{DropProb: 0.1}},
+		Crashes: []distsim.Crash{{Agent: "dc-1", AtIter: seqStats.Iterations / 2}},
+	}
+	res := runChaosWith(t, inst, opts, plan, chaosPolicy())
+	if res.Degradation == nil || !slices.Contains(res.Degradation.DeadAgents, "dc-1") {
+		t.Fatalf("crashed datacenter not declared dead: %+v", res.Degradation)
+	}
+	replay := runChaosWith(t, inst, opts, plan, chaosPolicy())
+	if got, want := slotBytes(t, replay), slotBytes(t, res); !bytes.Equal(got, want) {
+		t.Fatalf("same-seed sparse crash replay diverged:\n%s\n%s", want, got)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -95,6 +96,62 @@ func TestDistributedMatchesSequentialExactly(t *testing.T) {
 	}
 	if res.Breakdown.UFC != seqBD.UFC {
 		t.Errorf("UFC: distributed %v vs sequential %v", res.Breakdown.UFC, seqBD.UFC)
+	}
+}
+
+// TestBackToBackRunsOnOneTransport: RunAgents leaves nothing running
+// behind it, so one transport carries solve after solve under either
+// failure policy. Every solve must be bit-identical to the sequential
+// engine, and after every Run the goroutine count must be back at its
+// pre-run value — an inbox drainer outliving its run would steal the
+// next run's messages.
+func TestBackToBackRunsOnOneTransport(t *testing.T) {
+	inst := testInstance(t, 1)
+	seqAlloc, _, seqStats, err := core.Solve(inst, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		pol  *distsim.Resilience
+	}{
+		{"fail-fast", nil},
+		{"resilient", &distsim.Resilience{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, n := inst.Cloud.M(), inst.Cloud.N()
+			tr := distsim.NewChanTransport(distsim.AllAgentIDs(m, n), distsim.ChanOptions{Seed: 1})
+			defer func() { _ = tr.Close() }()
+			for run := 1; run <= 2; run++ {
+				before := runtime.NumGoroutine()
+				res, err := distsim.Run(context.Background(), inst, distsim.RunOptions{Resilience: tc.pol}, tr)
+				if err != nil {
+					t.Fatalf("run %d: %v", run, err)
+				}
+				if res.Degradation != nil || res.Stats.Iterations != seqStats.Iterations {
+					t.Fatalf("run %d: %d iterations (sequential %d), degradation %+v",
+						run, res.Stats.Iterations, seqStats.Iterations, res.Degradation)
+				}
+				for i := range seqAlloc.Lambda {
+					for j := range seqAlloc.Lambda[i] {
+						if seqAlloc.Lambda[i][j] != res.Allocation.Lambda[i][j] {
+							t.Fatalf("run %d lambda[%d][%d]: distributed %v vs sequential %v (must be bit-identical)",
+								run, i, j, res.Allocation.Lambda[i][j], seqAlloc.Lambda[i][j])
+						}
+					}
+				}
+				// An exiting goroutine may still be unwinding when Run
+				// returns; give it a moment, then require the count back.
+				after := runtime.NumGoroutine()
+				for deadline := time.Now().Add(2 * time.Second); after != before && time.Now().Before(deadline); {
+					time.Sleep(time.Millisecond)
+					after = runtime.NumGoroutine()
+				}
+				if after != before {
+					t.Fatalf("run %d: %d goroutines before Run, %d after", run, before, after)
+				}
+			}
+		})
 	}
 }
 
@@ -464,10 +521,18 @@ func TestHubRedeliversAfterReconnect(t *testing.T) {
 	}
 }
 
+// raceEnabled is set when the race detector instruments the test binary
+// (race_test.go); the allocation gates of the send path skip then and run
+// in every uninstrumented test run.
+var raceEnabled bool
+
 // TestTCPSendSteadyStateAllocs pins the allocation-free send path: after
 // warmup, TCPNode.Send must not allocate. The peer is a raw discarding
 // socket so the in-process receive path stays out of the measurement.
 func TestTCPSendSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gate: the race detector's sync.Pool drops pooled frames at random")
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

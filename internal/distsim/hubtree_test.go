@@ -65,24 +65,36 @@ func TestDistributedSparseMatchesInProcess(t *testing.T) {
 	}
 }
 
-// TestResilientRejectsSparse: the hardened protocol has no sparse variant
-// yet, so combining Resilience with SparsityCutoff must fail loudly
-// rather than desync the agents.
-func TestResilientRejectsSparse(t *testing.T) {
-	st, err := experiments.NewSyntheticTopology(experiments.Topology{N: 4, M: 4, Regions: 2}, 3)
+// TestResilientSparseMatchesInProcess: the resilient policy runs the same
+// compact agent loops as fail-fast, so a resilient sparse run over a
+// zero-fault plan must be bit-identical (per λ entry, in iterations and
+// in UFC) to core.Solve with the same SparsityCutoff, and undegraded.
+func TestResilientSparseMatchesInProcess(t *testing.T) {
+	st, err := experiments.NewSyntheticTopology(experiments.Topology{N: 4, M: 8, Regions: 2}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	inst := st.Instance(1)
-	m, n := inst.Cloud.M(), inst.Cloud.N()
-	tr := distsim.NewChanTransport(distsim.AllAgentIDs(m, n), distsim.ChanOptions{})
-	defer func() { _ = tr.Close() }()
-	_, err = distsim.Run(context.Background(), inst, distsim.RunOptions{
-		Solver:     core.Options{SparsityCutoff: st.CutoffSec},
-		Resilience: &distsim.Resilience{},
-	}, tr)
-	if err == nil {
-		t.Fatal("resilient sparse run accepted, want an error")
+	opts := core.Options{SparsityCutoff: st.CutoffSec}
+	seqAlloc, seqBD, seqStats, err := core.Solve(inst, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := runChaosWith(t, inst, opts, &distsim.FaultPlan{Seed: 11}, chaosPolicy())
+	if res.Degradation != nil {
+		t.Fatalf("zero-fault resilient sparse run degraded: %+v", res.Degradation)
+	}
+	if res.Stats.Iterations != seqStats.Iterations || res.Breakdown.UFC != seqBD.UFC {
+		t.Fatalf("resilient sparse run: %d iters UFC %v, in-process %d iters UFC %v",
+			res.Stats.Iterations, res.Breakdown.UFC, seqStats.Iterations, seqBD.UFC)
+	}
+	for i := range seqAlloc.Lambda {
+		for j := range seqAlloc.Lambda[i] {
+			if seqAlloc.Lambda[i][j] != res.Allocation.Lambda[i][j] {
+				t.Fatalf("lambda[%d][%d]: resilient %v vs in-process %v (must be bit-identical)",
+					i, j, res.Allocation.Lambda[i][j], seqAlloc.Lambda[i][j])
+			}
+		}
 	}
 }
 

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -19,15 +19,19 @@ var (
 // RunOptions configures a distributed run.
 type RunOptions struct {
 	Solver core.Options
-	// Timeout bounds each individual message wait (default 30s). It
-	// applies to the legacy fail-fast protocol; with Resilience set the
-	// per-phase MessageDeadline governs waits instead.
+	// Timeout is the deadline of every message wait under the fail-fast
+	// policy (Resilience nil; default 30s): a wait that misses it fails
+	// the run with ErrTimeout. With Resilience set, the per-phase
+	// MessageDeadline governs waits instead.
 	Timeout time.Duration
-	// Resilience, when non-nil, enables the hardened protocol: bounded
+	// Resilience selects the failure policy of the run. Nil is fail-fast:
+	// nothing is retransmitted, and a missed deadline or any agent's error
+	// aborts the run. Non-nil (even zero-valued) is resilient: bounded
 	// retransmission with backoff, duplicate suppression, per-phase
 	// degrade deadlines with stale-iterate fallback, and coordinator
 	// liveness tracking with proximity-routing finalization for dead
-	// front-ends. Nil runs the legacy fail-fast protocol.
+	// front-ends. Both policies run the same agent loops, on dense and
+	// sparse engines alike.
 	Resilience *Resilience
 }
 
@@ -78,13 +82,12 @@ func Run(ctx context.Context, inst *core.Instance, opts RunOptions, transport Tr
 // the engine is deterministic, so all participants agree on the effective
 // parameters. The Result is non-nil only when the coordinator is among the
 // local agents; other participants receive (nil, nil) on clean shutdown.
+// Every goroutine RunAgents starts has exited when it returns, so one
+// transport can carry any number of runs back to back.
 func RunAgents(ctx context.Context, inst *core.Instance, opts RunOptions, transport Transport, agentIDs []string) (*Result, error) {
 	engine, err := core.NewEngine(inst, opts.Solver)
 	if err != nil {
 		return nil, err
-	}
-	if opts.Timeout <= 0 {
-		opts.Timeout = 30 * time.Second
 	}
 	if ctx == nil {
 		// A nil context used to be silently promoted to context.Background(),
@@ -92,95 +95,69 @@ func RunAgents(ctx context.Context, inst *core.Instance, opts RunOptions, transp
 		// entry point is context-first now, so a nil here is a caller bug.
 		return nil, fmt.Errorf("distsim: nil context: %w", core.ErrBadOptions)
 	}
-	var pol Resilience
-	resilient := opts.Resilience != nil
-	if resilient {
-		if engine.Sparse() {
-			return nil, fmt.Errorf("distsim: the resilient protocol does not support SparsityCutoff yet: %w", core.ErrBadOptions)
-		}
-		pol = opts.Resilience.withDefaults()
-	}
+	pol := opts.policy()
 	m, n := inst.Cloud.M(), inst.Cloud.N()
 	tab := newIDTable(m, n)
 
-	type launch struct {
-		id  string
-		run func() error
-	}
-	var launches []launch
+	runs := make([]func() error, len(agentIDs)) // runs[k] is agent agentIDs[k]
 	hasCoord := false
 	resCh := make(chan *coordResult, 1)
-	for _, id := range agentIDs {
-		var i, j int
+	for k, id := range agentIDs {
+		var idx int // per iteration: the closures below capture it
 		switch {
 		case id == coordID():
 			hasCoord = true
-			launches = append(launches, launch{id: id, run: func() error {
-				var res *coordResult
-				var err error
-				if resilient {
-					res, err = runCoordinatorRes(ctx, engine, transport, tab, pol)
-				} else {
-					res, err = runCoordinator(ctx, engine, transport, tab, opts.Timeout)
+			runs[k] = func() error {
+				res, err := runCoordinator(ctx, engine, transport, tab, pol)
+				if err == nil {
+					resCh <- res
 				}
-				if err != nil {
-					return err
-				}
-				resCh <- res
-				return nil
-			}})
-		case parseID(id, "fe-", &i) && i >= 0 && i < m:
-			idx := i
-			launches = append(launches, launch{id: id, run: func() error {
-				if resilient {
-					return runFrontEndRes(ctx, engine, transport, tab, idx, pol)
-				}
-				return runFrontEnd(ctx, engine, transport, tab, idx, opts.Timeout)
-			}})
-		case parseID(id, "dc-", &j) && j >= 0 && j < n:
-			idx := j
-			launches = append(launches, launch{id: id, run: func() error {
-				if resilient {
-					return runDatacenterRes(ctx, engine, transport, tab, idx, pol)
-				}
-				return runDatacenter(ctx, engine, transport, tab, idx, opts.Timeout)
-			}})
+				return err
+			}
+		case parseID(id, "fe-", &idx) && idx >= 0 && idx < m:
+			runs[k] = func() error { return runFrontEnd(ctx, engine, transport, tab, idx, pol) }
+		case parseID(id, "dc-", &idx) && idx >= 0 && idx < n:
+			runs[k] = func() error { return runDatacenter(ctx, engine, transport, tab, idx, pol) }
 		default:
 			return nil, fmt.Errorf("distsim: agent id %q invalid for a %dx%d cloud", id, m, n)
 		}
 	}
 
-	type workerErr struct {
-		id  string
-		err error
+	errs := make([]error, len(runs))
+	exited := make(chan int, len(runs)) // k once errs[k] is final
+	for k, run := range runs {
+		go func() { errs[k] = run(); exited <- k }()
 	}
-	errCh := make(chan workerErr, len(launches))
-	for _, l := range launches {
-		go func(id string, run func() error) { errCh <- workerErr{id: id, err: run()} }(l.id, l.run)
-	}
+	// Any exited agent — finished or failed — stops reading its inbox
+	// while stragglers may still retransmit to it. Drain it so a full
+	// mailbox can never block live senders and cascade into a fleet-wide
+	// deadlock on a synchronous transport; the drainers stop before
+	// RunAgents returns, so they never steal a later run's messages.
+	stopDrain := make(chan struct{})
+	var drainers sync.WaitGroup
+	defer func() {
+		close(stopDrain)
+		drainers.Wait() //ufc:ctx bounded: stopDrain, closed just above, ends every drainer after one non-blocking sweep
+	}()
 	var firstErr error
 	var workerErrs []string
-	for range launches {
-		we := <-errCh
-		if resilient {
-			// Any exited agent — finished or failed — stops reading its
-			// inbox while stragglers may still retransmit to it. Drain it
-			// so a full mailbox can never block live senders and cascade
-			// into a fleet-wide deadlock on a synchronous transport.
-			go drainInbox(transport, we.id)
-		}
-		if we.err == nil {
+	for range runs {
+		k := <-exited
+		id, err := agentIDs[k], errs[k]
+		drainers.Add(1)
+		go drainInbox(transport, id, stopDrain, &drainers)
+		if err == nil {
 			continue
 		}
-		if resilient && we.id != tab.coord {
+		if !pol.failFast() && id != tab.coord {
 			// Degraded operation tolerates non-coordinator failures
 			// (crashed or declared-dead agents); the coordinator routes
 			// around them and still produces a result.
-			workerErrs = append(workerErrs, we.id+": "+we.err.Error())
+			workerErrs = append(workerErrs, id+": "+err.Error())
 			continue
 		}
 		if firstErr == nil {
-			firstErr = we.err
+			firstErr = err
 			// Unblock everything else.
 			_ = transport.Close() //ufc:discard firstErr is the failure being reported; Close is only a wakeup
 		}
@@ -213,17 +190,45 @@ func RunAgents(ctx context.Context, inst *core.Instance, opts RunOptions, transp
 	}, nil
 }
 
-// drainInbox consumes a failed worker's mailbox until the transport
-// closes it. Without a reader, peer retransmissions aimed at the dead
-// agent would fill its bounded inbox and block the senders — and with a
-// synchronous in-process transport that backpressure cascades into a
-// fleet-wide deadlock.
-func drainInbox(t Transport, id string) {
+// policy resolves the failure policy of a run. Fail-fast is the
+// resilient machinery with no retransmission budget (MaxRetries 0): every
+// wait's deadline is Timeout, no retry timer is armed, and a missed
+// deadline fails the wait with ErrTimeout instead of degrading.
+func (o RunOptions) policy() Resilience {
+	if o.Resilience != nil {
+		return o.Resilience.withDefaults()
+	}
+	timeout := o.Timeout
+	if timeout <= 0 {
+		timeout = 30 * time.Second
+	}
+	return Resilience{MessageDeadline: timeout, DeadAfter: 1, tf: realTimers{}}
+}
+
+// drainInbox consumes an exited agent's mailbox until stop closes (then
+// takes whatever has already arrived) or the transport closes it, and
+// marks wg done. Without a reader, peer retransmissions aimed at the
+// exited agent would fill its bounded inbox and block the senders — and
+// with a synchronous in-process transport that backpressure cascades into
+// a fleet-wide deadlock.
+func drainInbox(t Transport, id string, stop <-chan struct{}, wg *sync.WaitGroup) {
+	defer wg.Done()
 	in, err := t.Inbox(id)
 	if err != nil {
 		return
 	}
-	for range in {
+	for {
+		select {
+		case _, ok := <-in:
+			if !ok {
+				return
+			}
+		case <-stop:
+			for range len(in) {
+				<-in
+			}
+			return
+		}
 	}
 }
 
@@ -272,318 +277,21 @@ type coordResult struct {
 	degr   *Degradation
 }
 
-// mailbox wraps an inbox with a pending buffer so agents can receive
-// messages of a specific kind and iteration even when the transport
-// reorders deliveries across rounds. Waits also unblock when the run's
-// context is cancelled.
-type mailbox struct {
-	inbox   <-chan Message
-	pending []Message
-	timeout time.Duration
-	ctx     context.Context
-}
-
-func newMailbox(ctx context.Context, t Transport, id string, timeout time.Duration) (*mailbox, error) {
-	in, err := t.Inbox(id)
-	if err != nil {
-		return nil, err
-	}
-	return &mailbox{inbox: in, timeout: timeout, ctx: ctx}, nil
-}
-
-// recv returns the next message matching kind and iter.
-func (mb *mailbox) recv(kind Kind, iter int) (Message, error) {
-	for idx, msg := range mb.pending {
-		if msg.Kind == kind && msg.Iter == iter {
-			mb.pending = append(mb.pending[:idx], mb.pending[idx+1:]...)
-			return msg, nil
+// peersOf returns a front-end's or datacenter's index set — the ascending
+// indices of the peers it exchanges messages with — and their ids. On a
+// sparse engine the set is the agent's row or column of the feasibility
+// mask; on a dense engine it is every index, and the compact kernels run
+// the dense ones verbatim, so one loop serves both.
+func peersOf(e *core.Engine, mask []int32, all []string) ([]int32, []string) {
+	if !e.Sparse() {
+		mask = make([]int32, len(all))
+		for k := range mask {
+			mask[k] = int32(k)
 		}
 	}
-	deadline := time.NewTimer(mb.timeout)
-	defer deadline.Stop()
-	for {
-		select {
-		case msg, ok := <-mb.inbox:
-			if !ok {
-				return Message{}, ErrAborted
-			}
-			if msg.Kind == kind && msg.Iter == iter {
-				return msg, nil
-			}
-			mb.pending = append(mb.pending, msg)
-		case <-deadline.C:
-			return Message{}, fmt.Errorf("kind %d iter %d: %w", kind, iter, ErrTimeout)
-		case <-mb.ctx.Done():
-			return Message{}, mb.ctx.Err()
-		}
+	ids := make([]string, len(mask))
+	for t, k := range mask {
+		ids[t] = all[k]
 	}
-}
-
-// runFrontEnd is the front-end proxy agent i: it performs the
-// λ-minimization, exchanges (λ̃, φ) with the datacenters, applies the dual
-// update and Gaussian back-substitution for its row of a and φ, and
-// reports its residual contribution. On a sparse engine the compact
-// variant runs instead and exchanges messages only across feasible pairs.
-func runFrontEnd(ctx context.Context, e *core.Engine, t Transport, tab *idTable, i int, timeout time.Duration) error {
-	if e.Sparse() {
-		return runFrontEndSparse(ctx, e, t, tab, i, timeout)
-	}
-	inst := e.Instance()
-	n := inst.Cloud.N()
-	self := tab.fe[i]
-	mb, err := newMailbox(ctx, t, self, timeout)
-	if err != nil {
-		return err
-	}
-	rho, eps := e.Rho(), e.EffectiveEpsilon()
-	loadScale, dualScale := e.LoadScale(), e.DualScale()
-
-	aRow := make([]float64, n)
-	varphiRow := make([]float64, n)
-	lambdaRow := make([]float64, n)
-	lambdaTilde := make([]float64, n)
-	aTilde := make([]float64, n)
-	ws := e.NewStepWorkspace()
-
-	for iter := 1; ; iter++ {
-		if err := e.LambdaStepInto(ws, i, aRow, varphiRow, lambdaTilde); err != nil {
-			return fmt.Errorf("front-end %d iter %d: %w", i, iter, err)
-		}
-		for j := 0; j < n; j++ {
-			if err := t.Send(tab.dc[j], Message{
-				Kind: KindRouting, Iter: iter, From: self,
-				Payload: []float64{lambdaTilde[j], varphiRow[j]},
-			}); err != nil {
-				return fmt.Errorf("front-end %d iter %d send: %w", i, iter, err)
-			}
-		}
-
-		for recvd := 0; recvd < n; recvd++ {
-			msg, err := mb.recv(KindAux, iter)
-			if err != nil {
-				return fmt.Errorf("front-end %d iter %d: %w", i, iter, err)
-			}
-			// The sender identifies the column: ã_ij arrives from dc-j.
-			var j int
-			if !parseID(msg.From, "dc-", &j) || j < 0 || j >= n || len(msg.Payload) != 1 {
-				return fmt.Errorf("front-end %d iter %d: bad aux message from %q", i, iter, msg.From)
-			}
-			aTilde[j] = msg.Payload[0]
-		}
-
-		// Dual prediction and Gaussian back substitution for this row.
-		var residual float64
-		for j := 0; j < n; j++ {
-			varphiTilde := varphiRow[j] - rho*(aTilde[j]-lambdaTilde[j])
-			newVarphi := varphiRow[j] + eps*(varphiTilde-varphiRow[j])
-			if d := math.Abs(newVarphi-varphiRow[j]) / dualScale; d > residual {
-				residual = d
-			}
-			varphiRow[j] = newVarphi
-			aRow[j] += eps * (aTilde[j] - aRow[j])
-			if d := math.Abs(aRow[j]-lambdaTilde[j]) / loadScale; d > residual {
-				residual = d
-			}
-			lambdaRow[j] = lambdaTilde[j]
-		}
-
-		if err := t.Send(tab.coord, Message{
-			Kind: KindReport, Iter: iter, From: self, Payload: []float64{residual},
-		}); err != nil {
-			return fmt.Errorf("front-end %d iter %d report: %w", i, iter, err)
-		}
-		ctl, err := mb.recv(KindControl, iter)
-		if err != nil {
-			return fmt.Errorf("front-end %d iter %d control: %w", i, iter, err)
-		}
-		if ctl.Stop {
-			final := append([]float64{float64(i)}, lambdaRow...)
-			return t.Send(tab.coord, Message{
-				Kind: KindFinal, Iter: iter, From: self, Payload: final,
-			})
-		}
-	}
-}
-
-// runDatacenter is the datacenter agent j: it performs the μ-, ν- and
-// a-minimizations, sends ã back to the front-ends, applies the dual update
-// and Gaussian back substitution for its column, and reports its residual
-// contribution. On a sparse engine the compact variant runs instead and
-// exchanges messages only across feasible pairs.
-func runDatacenter(ctx context.Context, e *core.Engine, t Transport, tab *idTable, j int, timeout time.Duration) error {
-	if e.Sparse() {
-		return runDatacenterSparse(ctx, e, t, tab, j, timeout)
-	}
-	inst := e.Instance()
-	m := inst.Cloud.M()
-	self := tab.dc[j]
-	mb, err := newMailbox(ctx, t, self, timeout)
-	if err != nil {
-		return err
-	}
-	rho, eps := e.Rho(), e.EffectiveEpsilon()
-	dualScale := e.DualScale()
-	disableCorrection := e.Options().DisableCorrection
-
-	aCol := make([]float64, m)
-	lambdaTildeCol := make([]float64, m)
-	varphiCol := make([]float64, m)
-	aTilde := make([]float64, m)
-	ws := e.NewStepWorkspace()
-	var mu, nu, phi float64
-
-	for iter := 1; ; iter++ {
-		for recvd := 0; recvd < m; recvd++ {
-			msg, err := mb.recv(KindRouting, iter)
-			if err != nil {
-				return fmt.Errorf("datacenter %d iter %d: %w", j, iter, err)
-			}
-			// The sender identifies the row: (λ̃_ij, φ_ij) arrives from fe-i.
-			var i int
-			if !parseID(msg.From, "fe-", &i) || i < 0 || i >= m || len(msg.Payload) != 2 {
-				return fmt.Errorf("datacenter %d iter %d: bad routing message from %q", j, iter, msg.From)
-			}
-			lambdaTildeCol[i] = msg.Payload[0]
-			varphiCol[i] = msg.Payload[1]
-		}
-
-		var sumA float64
-		for i := 0; i < m; i++ {
-			sumA += aCol[i]
-		}
-		muTilde := e.MuStep(j, sumA, nu, phi)
-		nuTilde := e.NuStep(j, sumA, muTilde, phi)
-		if err := e.AStepInto(ws, j, lambdaTildeCol, varphiCol, muTilde, nuTilde, phi, aTilde); err != nil {
-			return fmt.Errorf("datacenter %d iter %d: %w", j, iter, err)
-		}
-		var sumATilde float64
-		for i := 0; i < m; i++ {
-			sumATilde += aTilde[i]
-		}
-		phiTilde := phi - rho*e.PowerBalance(j, sumATilde, muTilde, nuTilde)
-
-		for i := 0; i < m; i++ {
-			if err := t.Send(tab.fe[i], Message{
-				Kind: KindAux, Iter: iter, From: self,
-				Payload: []float64{aTilde[i]},
-			}); err != nil {
-				return fmt.Errorf("datacenter %d iter %d send: %w", j, iter, err)
-			}
-		}
-
-		// Gaussian back substitution for this column (same accumulation
-		// order as the sequential engine).
-		newPhi := phi + eps*(phiTilde-phi)
-		residual := math.Abs(newPhi-phi) / dualScale
-		phi = newPhi
-		var aDelta float64
-		for i := 0; i < m; i++ {
-			old := aCol[i]
-			next := old + eps*(aTilde[i]-old)
-			aDelta += next - old
-			aCol[i] = next
-		}
-		nuOld := nu
-		if disableCorrection {
-			nu = nuTilde
-			mu = muTilde
-		} else {
-			nu = nuOld + eps*(nuTilde-nuOld) + aDelta
-			mu = mu + eps*(muTilde-mu) - (nu - nuOld) + aDelta
-		}
-
-		if err := t.Send(tab.coord, Message{
-			Kind: KindReport, Iter: iter, From: self, Payload: []float64{residual},
-		}); err != nil {
-			return fmt.Errorf("datacenter %d iter %d report: %w", j, iter, err)
-		}
-		ctl, err := mb.recv(KindControl, iter)
-		if err != nil {
-			return fmt.Errorf("datacenter %d iter %d control: %w", j, iter, err)
-		}
-		if ctl.Stop {
-			return t.Send(tab.coord, Message{
-				Kind: KindFinal, Iter: iter, From: self,
-				Payload: []float64{float64(j), mu, nu, phi},
-			})
-		}
-	}
-}
-
-// runCoordinator gathers per-iteration residual reports, decides
-// convergence, broadcasts control messages, and collects the final routing.
-func runCoordinator(ctx context.Context, e *core.Engine, t Transport, tab *idTable, timeout time.Duration) (*coordResult, error) {
-	inst := e.Instance()
-	m, n := inst.Cloud.M(), inst.Cloud.N()
-	opts := e.Options()
-	mb, err := newMailbox(ctx, t, tab.coord, timeout)
-	if err != nil {
-		return nil, err
-	}
-	stats := &core.Stats{}
-
-	broadcast := func(iter int, stop bool) error {
-		for i := 0; i < m; i++ {
-			if err := t.Send(tab.fe[i], Message{Kind: KindControl, Iter: iter, From: tab.coord, Stop: stop}); err != nil {
-				return err
-			}
-		}
-		for j := 0; j < n; j++ {
-			if err := t.Send(tab.dc[j], Message{Kind: KindControl, Iter: iter, From: tab.coord, Stop: stop}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	lastIter := 0
-	for iter := 1; iter <= opts.MaxIterations; iter++ {
-		var residual float64
-		for k := 0; k < m+n; k++ {
-			msg, err := mb.recv(KindReport, iter)
-			if err != nil {
-				return nil, fmt.Errorf("coordinator iter %d: %w", iter, err)
-			}
-			if r := msg.Payload[0]; r > residual {
-				residual = r
-			}
-		}
-		stats.Iterations = iter
-		stats.FinalResidual = residual
-		opts.Probe.ObserveIteration(residual)
-		if opts.TrackResiduals {
-			stats.ResidualTrace = append(stats.ResidualTrace, residual)
-		}
-		stop := residual <= opts.Tolerance || iter == opts.MaxIterations
-		stats.Converged = residual <= opts.Tolerance
-		if err := broadcast(iter, stop); err != nil {
-			return nil, fmt.Errorf("coordinator iter %d broadcast: %w", iter, err)
-		}
-		if stop {
-			lastIter = iter
-			break
-		}
-	}
-	// Distributed runs always start from the zero iterate.
-	opts.Probe.ObserveSolve(stats.Iterations, stats.FinalResidual, stats.Converged, false)
-
-	lambda := make([][]float64, m)
-	for k := 0; k < m+n; k++ {
-		msg, err := mb.recv(KindFinal, lastIter)
-		if err != nil {
-			return nil, fmt.Errorf("coordinator finals: %w", err)
-		}
-		if len(msg.Payload) != n+1 {
-			continue
-		}
-		if i := int(msg.Payload[0]); i >= 0 && i < m && msg.From == tab.fe[i] {
-			lambda[i] = append([]float64(nil), msg.Payload[1:]...)
-		}
-	}
-	for i := 0; i < m; i++ {
-		if lambda[i] == nil {
-			return nil, fmt.Errorf("coordinator: missing final routing from front-end %d", i)
-		}
-	}
-	return &coordResult{lambda: lambda, stats: stats}, nil
+	return mask, ids
 }

@@ -23,9 +23,10 @@ var (
 // run: per-message degrade deadlines, bounded retransmission with
 // exponential backoff and deterministic jitter, duplicate suppression,
 // bounded staleness and liveness-based degradation. A nil Resilience in
-// RunOptions runs the legacy fail-fast protocol, bit-identical to the
-// sequential engine; a non-nil (even zero-valued) Resilience enables
-// hardening with the defaults below.
+// RunOptions selects the fail-fast policy of the same agent loops; a
+// non-nil (even zero-valued) Resilience enables hardening with the
+// defaults below. On a fault-free run both policies are bit-identical to
+// the in-process engine, dense or sparse.
 type Resilience struct {
 	// RetryInterval is the first retransmission backoff (default 10ms).
 	RetryInterval time.Duration
@@ -110,6 +111,23 @@ func (r Resilience) withDefaults() Resilience {
 	return r
 }
 
+// failFast reports whether r is the resolved fail-fast policy (see
+// RunOptions.policy): it has no retransmission budget — withDefaults
+// gives every resilient policy one — so a lost message cannot be
+// recovered, no retry timer is armed and a missed deadline is fatal.
+func (r *Resilience) failFast() bool { return r.MaxRetries == 0 }
+
+// ladder returns the policy of a wait factor rungs up the deadline
+// ladder. Every fail-fast wait gets the plain deadline (RunOptions.Timeout):
+// a missed one aborts the run, so there is no degrade decision whose
+// determinism the ladder would protect.
+func (r Resilience) ladder(factor time.Duration) *Resilience {
+	if !r.failFast() {
+		r.MessageDeadline *= factor
+	}
+	return &r
+}
+
 // backoff returns the jittered delay before retransmission `attempt`
 // (0-based) by agent self in round iter. The jitter is a pure hash of
 // (Seed, self, iter, attempt), so a replayed run waits identically.
@@ -156,6 +174,14 @@ func (rt *realTimer) Reset(d time.Duration) {
 }
 func (rt *realTimer) Stop() { rt.t.Stop() }
 
+// noTimer never fires: the retry timer of a policy without a
+// retransmission budget.
+type noTimer struct{}
+
+func (noTimer) C() <-chan time.Time   { return nil }
+func (noTimer) Reset(d time.Duration) {}
+func (noTimer) Stop()                 {}
+
 // outRec is one recorded outbound message.
 type outRec struct {
 	to string
@@ -172,7 +198,7 @@ type Retrier struct {
 	recs []outRec
 }
 
-// NewRetrier wraps t for the resilient protocol loops.
+// NewRetrier wraps t for the agent loops.
 func NewRetrier(t Transport) *Retrier { return &Retrier{t: t} }
 
 // Send transmits and records the message for later retransmission.

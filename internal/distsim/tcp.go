@@ -627,27 +627,46 @@ func (h *TCPHub) shardFor(named bool, toIdx uint32, to []byte) *routeShard {
 	return sh
 }
 
+// addPending parks a record for a destination without a route. The route
+// lookup that found none ran under the shard's read lock, so register may
+// have installed the route — and drained the queue — since: the lookup is
+// repeated under the write lock, and a record whose route now exists is
+// forwarded instead of stranded. (A requeue after a failed delivery still
+// parks: dropConn cleared the dead route first.)
 func (h *TCPHub) addPending(named bool, toIdx uint32, to []byte, rec []byte) {
-	cp := append([]byte(nil), rec...)
+	var target *hubConn
+	var sh *routeShard
 	if named {
-		sh := h.namedShard(to)
+		sh = h.namedShard(to)
 		sh.mu.Lock()
-		if sh.namedPending == nil {
-			sh.namedPending = make(map[string][][]byte)
+		if target = sh.named[string(to)]; target == nil {
+			if sh.namedPending == nil {
+				sh.namedPending = make(map[string][][]byte)
+			}
+			sh.namedPending[string(to)] = append(sh.namedPending[string(to)], append([]byte(nil), rec...))
 		}
-		sh.namedPending[string(to)] = append(sh.namedPending[string(to)], cp)
-		sh.mu.Unlock()
+	} else {
+		var slot int
+		sh, slot = h.shardOf(toIdx)
+		sh.mu.Lock()
+		if slot < len(sh.slots) {
+			target = sh.slots[slot]
+		}
+		if target == nil {
+			if sh.pending == nil {
+				sh.pending = make(map[uint32][][]byte)
+			}
+			sh.pending[toIdx] = append(sh.pending[toIdx], append([]byte(nil), rec...))
+		}
+	}
+	sh.mu.Unlock()
+	if target == nil {
 		sh.stats.pending.Inc()
 		return
 	}
-	sh, _ := h.shardOf(toIdx)
-	sh.mu.Lock()
-	if sh.pending == nil {
-		sh.pending = make(map[uint32][][]byte)
-	}
-	sh.pending[toIdx] = append(sh.pending[toIdx], cp)
-	sh.mu.Unlock()
-	sh.stats.pending.Inc()
+	fb := getFrame()
+	fb.b = append(fb.b, rec...)
+	h.route(fb, true)
 }
 
 // splitRecord separates a record's uvarint length prefix from its body.

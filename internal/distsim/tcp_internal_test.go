@@ -189,3 +189,45 @@ func TestHubRequeuesOnDeadRoute(t *testing.T) {
 	}
 	live.cw.close(ErrClosed)
 }
+
+// TestHubAddPendingForwardsWhenRouteAppeared pins the park/register race:
+// route finds no destination under the shard's read lock, register then
+// installs it and drains the (still empty) queue, and only then does
+// addPending run. The record must be forwarded to the new route, not
+// stranded in a queue nobody drains again.
+func TestHubAddPendingForwardsWhenRouteAppeared(t *testing.T) {
+	h := &TCPHub{conns: make(map[net.Conn]*hubConn)}
+	h.initShards(defaultRouteShards)
+	conn := &collectConn{failAt: -1}
+	live := &hubConn{}
+	live.cw = newConnWriter(conn, 4, &h.counters, nil)
+	defer live.cw.close(ErrClosed)
+	h.register(live, []string{"dc-0"})
+
+	fb := frameFor("dc-0", Message{Kind: KindRouting, Iter: 1, From: "fe-0", Payload: []float64{0.5, 1}})
+	want := append([]byte(nil), fb.b...)
+	idx, _ := agentIndex("dc-0")
+	h.addPending(false, idx, nil, fb.b)
+	putFrame(fb)
+
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		conn.mu.Lock()
+		got := string(conn.wrote)
+		conn.mu.Unlock()
+		if got == string(want) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("record never reached the registered conn: wrote %d bytes, want %d", len(got), len(want))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	sh, _ := h.shardOf(idx)
+	sh.mu.RLock()
+	pending := len(sh.pending[idx])
+	sh.mu.RUnlock()
+	if pending != 0 {
+		t.Fatalf("record stranded: %d pending for dc-0", pending)
+	}
+}

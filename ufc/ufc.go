@@ -95,8 +95,9 @@ type (
 	// ExponentialUtility punishes long latencies sharply.
 	ExponentialUtility = utility.Exponential
 
-	// Resilience configures the hardened distributed protocol: retry
-	// backoff, degrade deadlines, staleness cap and liveness thresholds.
+	// Resilience configures the resilient failure policy of the
+	// distributed protocol: retry backoff, degrade deadlines, staleness
+	// cap and liveness thresholds.
 	Resilience = distsim.Resilience
 	// FaultPlan is a seeded, deterministic chaos schedule applied to the
 	// distributed transport (drops, duplicates, delays, partitions,
@@ -214,7 +215,7 @@ func ListenHub(ctx context.Context, cfg HubConfig) (*distsim.TCPHub, error) {
 
 // DistOptions configures a distributed run beyond the solver options. The
 // zero value reproduces the historical behaviour: in-memory transport, no
-// injected delay, fail-fast protocol, no faults.
+// injected delay, fail-fast policy, no faults.
 type DistOptions struct {
 	// Transport selects TransportChan (default) or TransportTCP.
 	Transport string
@@ -227,8 +228,9 @@ type DistOptions struct {
 	// MaxDelay bounds the in-memory transport's injected uniform delivery
 	// delay; zero disables delays (TransportChan only).
 	MaxDelay time.Duration
-	// Timeout bounds each message wait of the legacy fail-fast protocol
-	// (default 30s). Ignored when Resilience is set.
+	// Timeout is the deadline of every message wait under the fail-fast
+	// policy (default 30s): a missed one fails the solve. Ignored when
+	// Resilience is set.
 	Timeout time.Duration
 	// HeartbeatInterval enables hub heartbeats at this period
 	// (TransportTCP only); zero disables them.
@@ -236,13 +238,16 @@ type DistOptions struct {
 	// HeartbeatMiss is the missed-heartbeat tolerance before the link is
 	// declared dead (default 3; TransportTCP only).
 	HeartbeatMiss int
-	// Resilience, when non-nil, runs the hardened protocol: bounded
-	// retransmission, duplicate suppression, degrade deadlines with
-	// stale-iterate fallback, and liveness-based degradation.
+	// Resilience selects the failure policy; the agents run the same
+	// loops either way, dense or sparse. Nil is fail-fast: nothing is
+	// retransmitted and a missed deadline or any agent error fails the
+	// solve. Non-nil is resilient: bounded retransmission, duplicate
+	// suppression, degrade deadlines with stale-iterate fallback, and
+	// liveness-based degradation.
 	Resilience *Resilience
 	// FaultPlan, when non-nil, wraps the transport in a deterministic
-	// chaos injector. Pair with Resilience — the fail-fast protocol
-	// aborts on the first lost message.
+	// chaos injector. Pair with Resilience — the fail-fast policy aborts
+	// on the first lost message.
 	FaultPlan *FaultPlan
 	// Security configures the TCP dial's transport security (TLS, auth
 	// token, wire version); nil keeps the legacy plaintext v1 wire
