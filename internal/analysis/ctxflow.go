@@ -24,7 +24,7 @@ var ctxPackages = map[string]bool{
 //   - calls to context.Background() / context.TODO() — a protocol or
 //     serving layer that mints its own root context silently detaches
 //     itself from the caller's deadline and cancellation; the entry
-//     points (main, tests, deprecated *Background shims) own the root.
+//     points (main, tests) own the root.
 //     A deliberate escape hatch carries //ufc:ctx <why>;
 //   - functions that accept a context.Context, never use it, yet call
 //     context-aware callees — the dropped-ctx wrapper shape, where

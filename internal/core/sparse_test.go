@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -21,12 +22,10 @@ func sparseTopology(t *testing.T, n, m, r int, seed int64) (*experiments.Synthet
 }
 
 // TestSparseFullMaskBitIdenticalToDense: a cutoff large enough to admit
-// every (i, j) pair must reproduce the dense solver bit for bit — the
-// masked loops visit the same indices in the same order, so every float
-// operation is identical. This pins the masked code paths to the dense
-// semantics; together with SparsityCutoff=0 short-circuiting to the
-// untouched dense code, it covers both sides of the tentpole's
-// "default off = bit-identical" guarantee.
+// every (i, j) pair must reproduce the dense engine (cutoff 0) bit for
+// bit. Both masks hold every pair, so the loops visit the same indices in
+// the same order and every float operation is identical; only Sparse()
+// tells the two engines apart.
 func TestSparseFullMaskBitIdenticalToDense(t *testing.T) {
 	_, inst := sparseTopology(t, 6, 40, 3, 11)
 	dense, err := core.NewEngine(inst, core.Options{})
@@ -133,6 +132,85 @@ func TestSparseParallelBitIdentical(t *testing.T) {
 		if !statesEqual(ss, ps) {
 			t.Fatalf("iterate %d: parallel sparse state diverged from serial", it)
 		}
+	}
+}
+
+// TestFullVectorAdaptersHonourMask: on a sparse engine, LambdaStepInto
+// and AStepInto must compute exactly what the compact kernels compute over
+// the index set, read no off-mask input and write no off-mask output.
+func TestFullVectorAdaptersHonourMask(t *testing.T) {
+	st, inst := sparseTopology(t, 8, 48, 4, 13)
+	eng, err := core.NewEngine(inst, core.Options{SparsityCutoff: st.CutoffSec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, n := inst.Cloud.M(), inst.Cloud.N()
+	s := core.NewState(m, n)
+	for k := 0; k < 30; k++ {
+		if err := eng.Iterate(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ws := eng.NewStepWorkspace()
+	const sentinel = -12345.5
+	sentinels := func(size int) []float64 {
+		v := make([]float64, size)
+		for k := range v {
+			v[k] = sentinel
+		}
+		return v
+	}
+	// spread returns the length-size vector holding at(k) at each index k
+	// of idx and the sentinel elsewhere, and the compact vector of at.
+	spread := func(size int, idx []int32, at func(k int) float64) (full, compact []float64) {
+		full, compact = sentinels(size), make([]float64, len(idx))
+		for t, k := range idx {
+			full[k], compact[t] = at(int(k)), at(int(k))
+		}
+		return full, compact
+	}
+	check := func(what string, idx []int32, got, want []float64) {
+		t.Helper()
+		on := make(map[int]bool, len(idx))
+		for t2, k := range idx {
+			on[int(k)] = true
+			if math.Float64bits(got[k]) != math.Float64bits(want[t2]) {
+				t.Fatalf("%s: entry %d = %v, compact kernel gives %v", what, k, got[k], want[t2])
+			}
+		}
+		for k, v := range got {
+			if !on[k] && v != sentinel {
+				t.Fatalf("%s: off-mask entry %d overwritten with %v", what, k, v)
+			}
+		}
+	}
+	for i := 0; i < m; i++ {
+		idx := eng.FeasibleCols(i)
+		aRow, aC := spread(n, idx, func(j int) float64 { return s.A[i][j] })
+		varphiRow, varphiC := spread(n, idx, func(j int) float64 { return s.Varphi[i][j] })
+		dst := sentinels(n)
+		want := make([]float64, len(idx))
+		if err := eng.LambdaStepCompactInto(ws, i, aC, varphiC, want); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.LambdaStepInto(ws, i, aRow, varphiRow, dst); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("LambdaStepInto(%d)", i), idx, dst, want)
+	}
+	for j := 0; j < n; j++ {
+		idx := eng.FeasibleRows(j)
+		lamCol, lamC := spread(m, idx, func(i int) float64 { return s.Lambda[i][j] })
+		varphiCol, varphiC := spread(m, idx, func(i int) float64 { return s.Varphi[i][j] })
+		dst := sentinels(m)
+		want := make([]float64, len(idx))
+		if err := eng.AStepCompactInto(ws, j, lamC, varphiC, s.Mu[j], s.Nu[j], s.Phi[j], want); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.AStepInto(ws, j, lamCol, varphiCol, s.Mu[j], s.Nu[j], s.Phi[j], dst); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("AStepInto(%d)", j), idx, dst, want)
 	}
 }
 

@@ -8,6 +8,9 @@ package core
 // feasible pairs instead of M·N. Off-mask variables are identically zero
 // for the whole solve, which makes the masked iterate a feasible point of
 // the dense problem with the extra constraint λ_ij = a_ij = 0 off-mask.
+// A dense engine (cutoff zero) is the mask of every pair, so its loops
+// visit each row's and each column's indices in ascending order, exactly
+// as the paper's M×N loops do.
 //
 // Both index lists are ascending and share one backing slab each, so the
 // mask adds two allocations regardless of M and N.
@@ -98,35 +101,20 @@ func buildSparsity(lat [][]float64, cutoff float64) *sparsity {
 	return sp
 }
 
-// Sparse reports whether the engine runs with a routing-feasibility mask
-// (Options.SparsityCutoff > 0).
-func (e *Engine) Sparse() bool { return e.sp != nil }
+// Sparse reports whether the engine runs with a restricting
+// routing-feasibility mask (Options.SparsityCutoff > 0).
+func (e *Engine) Sparse() bool { return e.opts.SparsityCutoff > 0 }
 
 // FeasiblePairs returns the number of (front-end, datacenter) pairs the
-// solver iterates over: the mask size when sparse, M·N when dense.
-func (e *Engine) FeasiblePairs() int {
-	if e.sp != nil {
-		return e.sp.nnz
-	}
-	return e.m * e.n
-}
+// solver iterates over: the mask size, M·N on a dense engine.
+func (e *Engine) FeasiblePairs() int { return e.sp.nnz }
 
 // FeasibleCols returns the ascending datacenter indices front-end i may
-// route to, or nil when the engine is dense (all N columns feasible). The
-// slice is owned by the engine and must not be mutated.
-func (e *Engine) FeasibleCols(i int) []int32 {
-	if e.sp == nil {
-		return nil
-	}
-	return e.sp.rows[i]
-}
+// route to: every column 0..N−1 on a dense engine. The slice is owned by
+// the engine and must not be mutated.
+func (e *Engine) FeasibleCols(i int) []int32 { return e.sp.rows[i] }
 
 // FeasibleRows returns the ascending front-end indices that may route to
-// datacenter j, or nil when the engine is dense (all M rows feasible). The
-// slice is owned by the engine and must not be mutated.
-func (e *Engine) FeasibleRows(j int) []int32 {
-	if e.sp == nil {
-		return nil
-	}
-	return e.sp.cols[j]
-}
+// datacenter j: every row 0..M−1 on a dense engine. The slice is owned by
+// the engine and must not be mutated.
+func (e *Engine) FeasibleRows(j int) []int32 { return e.sp.cols[j] }

@@ -6,14 +6,16 @@ import "sync/atomic"
 // solvers. The engine owns one workspace per configured worker; external
 // long-running agents (internal/distsim) create their own with
 // NewStepWorkspace so repeated step calls allocate nothing. A workspace
-// must not be shared between concurrent callers.
+// must not be shared between concurrent callers. The compact kernels
+// slice every buffer to the index set's length; the full-vector adapters
+// gather into gx and gy and scatter out of gout.
 type StepWorkspace struct {
-	cn, vn, pn []float64 // length-N buffers: λ-step cost, projection input, sort scratch
-	ln, xn     []float64 // length-N buffers: gathered latencies / compact λ output (masked paths)
-	cm         []float64 // length-M buffer: a-step cost
-	sortm      []float64 // length-M sort buffer for the water-filling solver
-	prefm      []float64 // length-M+1 prefix sums
-	xm         []float64 // length-M buffer: compact a output (masked paths)
+	cn, vn, pn, ln []float64 // length-N buffers: λ-step cost, projection input, sort scratch, gathered latencies
+	cm             []float64 // length-M buffer: a-step cost
+	sortm          []float64 // length-M sort buffer for the water-filling solver
+	prefm          []float64 // length-M+1 prefix sums
+	gx, gy, gout   []float64 // length-max(M, N) buffers: an adapter's two gathered inputs and compact output
+	colL, colV     []float64 // length-M buffers: datacenterItem's gathered column of λ̃ and φ_ij
 }
 
 // NewStepWorkspace returns a workspace sized for the engine's topology.
@@ -21,16 +23,20 @@ func (e *Engine) NewStepWorkspace() *StepWorkspace { return e.newStepWorkspace()
 
 func (e *Engine) newStepWorkspace() *StepWorkspace {
 	m, n := e.m, e.n
+	g := max(m, n)
 	return &StepWorkspace{
 		cn:    make([]float64, n),
 		vn:    make([]float64, n),
 		pn:    make([]float64, n),
 		ln:    make([]float64, n),
-		xn:    make([]float64, n),
 		cm:    make([]float64, m),
 		sortm: make([]float64, m),
 		prefm: make([]float64, m+1),
-		xm:    make([]float64, m),
+		gx:    make([]float64, g),
+		gy:    make([]float64, g),
+		gout:  make([]float64, g),
+		colL:  make([]float64, m),
+		colV:  make([]float64, m),
 	}
 }
 

@@ -277,21 +277,13 @@ type coordResult struct {
 	degr   *Degradation
 }
 
-// peersOf returns a front-end's or datacenter's index set — the ascending
-// indices of the peers it exchanges messages with — and their ids. On a
-// sparse engine the set is the agent's row or column of the feasibility
-// mask; on a dense engine it is every index, and the compact kernels run
-// the dense ones verbatim, so one loop serves both.
-func peersOf(e *core.Engine, mask []int32, all []string) ([]int32, []string) {
-	if !e.Sparse() {
-		mask = make([]int32, len(all))
-		for k := range mask {
-			mask[k] = int32(k)
-		}
-	}
+// peersOf returns the ids of the peers a front-end or datacenter exchanges
+// messages with: its row or column of the engine's feasibility mask, in
+// ascending index order (every index on a dense engine).
+func peersOf(mask []int32, all []string) []string {
 	ids := make([]string, len(mask))
 	for t, k := range mask {
 		ids[t] = all[k]
 	}
-	return mask, ids
+	return ids
 }

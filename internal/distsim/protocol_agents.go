@@ -19,16 +19,16 @@ import (
 // removes is exactly the traffic that would otherwise transit the root.
 //
 // The compact vectors enumerate the same ascending indices as the
-// engine's masked loops, in the same float evaluation order, so a
-// distributed solve is bit-identical to the in-process solve: to the
-// masked one on a sparse engine, and to the dense one on a dense engine.
+// engine's loops, in the same float evaluation order, so a distributed
+// solve is bit-identical to the in-process solve, sparse or dense.
 
 // runFrontEnd is the front-end proxy agent i: it performs the
 // λ-minimization, exchanges (λ̃, φ) with its datacenters, applies the dual
 // update and Gaussian back substitution for its row of a and φ, and
 // reports its residual contribution.
 func runFrontEnd(ctx context.Context, e *core.Engine, tr Transport, tab *idTable, i int, pol Resilience) error {
-	cols, ids := peersOf(e, e.FeasibleCols(i), tab.dc)
+	cols := e.FeasibleCols(i)
+	ids := peersOf(cols, tab.dc)
 	w, err := newWorker(ctx, tr, pol, tab, tab.fe[i], ids)
 	if err != nil {
 		return err
@@ -129,7 +129,7 @@ func runFrontEnd(ctx context.Context, e *core.Engine, tr Transport, tab *idTable
 // column — matching the engine's masked iterate exactly — and keeps
 // reporting to the coordinator.
 func runDatacenter(ctx context.Context, e *core.Engine, tr Transport, tab *idTable, j int, pol Resilience) error {
-	_, ids := peersOf(e, e.FeasibleRows(j), tab.fe)
+	ids := peersOf(e.FeasibleRows(j), tab.fe)
 	w, err := newWorker(ctx, tr, pol, tab, tab.dc[j], ids)
 	if err != nil {
 		return err
