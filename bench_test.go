@@ -451,10 +451,12 @@ func BenchmarkTransportThroughput(b *testing.B) {
 	payload := []float64{0.5227926331, 0.1893718274}
 	done := make(chan struct{})
 	go func() {
+		defer close(done)
 		for i := 0; i < b.N; i++ {
-			<-inbox
+			if _, err := inbox.Recv(context.Background()); err != nil {
+				return
+			}
 		}
-		close(done)
 	}()
 	b.ReportAllocs()
 	b.ResetTimer()

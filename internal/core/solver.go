@@ -478,6 +478,8 @@ func (e *Engine) Options() Options { return e.opts }
 //
 //ufc:hotpath
 func (e *Engine) LambdaStepInto(ws *StepWorkspace, i int, aRow, varphiRow, dst []float64) error {
+	//ufc:alloc once per workspace: the adapters' gather buffers, which compact-kernel callers never need
+	e.adapterBufs(ws)
 	idx := e.sp.rows[i]
 	k := len(idx)
 	aC, varphiC, out := ws.gx[:k], ws.gy[:k], ws.gout[:k]
@@ -709,6 +711,8 @@ func (e *Engine) NuStep(j int, sumA, muTilde, phi float64) float64 {
 //
 //ufc:hotpath
 func (e *Engine) AStepInto(ws *StepWorkspace, j int, lambdaTildeCol, varphiCol []float64, muTilde, nuTilde, phi float64, dst []float64) error {
+	//ufc:alloc once per workspace: the adapters' gather buffers, which compact-kernel callers never need
+	e.adapterBufs(ws)
 	idx := e.sp.cols[j]
 	k := len(idx)
 	lambdaTildeC, varphiC, out := ws.gx[:k], ws.gy[:k], ws.gout[:k]
@@ -901,6 +905,8 @@ func (e *Engine) datacenterItem(ws *StepWorkspace, j int) error {
 	//ufc:alloc only the general-convex V_j fallback allocates (bisection closure); the linear-tax path taken in benchmarks is allocation-free
 	nu := e.NuStep(j, sc.sumA[j], mu, s.Phi[j])
 	sc.muTilde[j], sc.nuTilde[j] = mu, nu
+	//ufc:alloc once per workspace: the adapters' gather buffers, which compact-kernel callers never need
+	e.adapterBufs(ws)
 	lambdaTildeCol, varphiCol := ws.colL, ws.colV
 	for _, i := range e.sp.cols[j] {
 		lambdaTildeCol[i], varphiCol[i] = sc.lambdaTilde[i][j], s.Varphi[i][j]

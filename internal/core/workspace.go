@@ -8,7 +8,10 @@ import "sync/atomic"
 // NewStepWorkspace so repeated step calls allocate nothing. A workspace
 // must not be shared between concurrent callers. The compact kernels
 // slice every buffer to the index set's length; the full-vector adapters
-// gather into gx and gy and scatter out of gout.
+// gather into gx and gy and scatter out of gout. The adapters' buffers
+// are allocated on a workspace's first adapter call (see adapterBufs),
+// so distsim's agents, which call only the compact kernels, never carry
+// them.
 type StepWorkspace struct {
 	cn, vn, pn, ln []float64 // length-N buffers: λ-step cost, projection input, sort scratch, gathered latencies
 	cm             []float64 // length-M buffer: a-step cost
@@ -23,7 +26,6 @@ func (e *Engine) NewStepWorkspace() *StepWorkspace { return e.newStepWorkspace()
 
 func (e *Engine) newStepWorkspace() *StepWorkspace {
 	m, n := e.m, e.n
-	g := max(m, n)
 	return &StepWorkspace{
 		cn:    make([]float64, n),
 		vn:    make([]float64, n),
@@ -32,12 +34,19 @@ func (e *Engine) newStepWorkspace() *StepWorkspace {
 		cm:    make([]float64, m),
 		sortm: make([]float64, m),
 		prefm: make([]float64, m+1),
-		gx:    make([]float64, g),
-		gy:    make([]float64, g),
-		gout:  make([]float64, g),
-		colL:  make([]float64, m),
-		colV:  make([]float64, m),
 	}
+}
+
+// adapterBufs allocates the full-vector adapters' buffers (gx, gy, gout,
+// colL and colV) on the workspace's first adapter call; later calls find
+// them in place.
+func (e *Engine) adapterBufs(ws *StepWorkspace) {
+	if ws.gx != nil {
+		return
+	}
+	g := max(e.m, e.n)
+	ws.gx, ws.gy, ws.gout = make([]float64, g), make([]float64, g), make([]float64, g)
+	ws.colL, ws.colV = make([]float64, e.m), make([]float64, e.m)
 }
 
 // iterScratch is the engine-owned storage for every per-iteration

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -39,10 +40,14 @@ func putFrame(fb *frameBuf) {
 // Steady-state enqueues allocate nothing: records live in pooled
 // frameBufs handed over through a buffered channel.
 type connWriter struct {
-	conn      net.Conn
-	q         chan *frameBuf
-	done      chan struct{}
-	drain     chan struct{}
+	conn  net.Conn
+	q     chan *frameBuf
+	done  chan struct{}
+	drain chan struct{}
+	// closing is set by fail and shutdown before they close done and
+	// drain, so enqueue refuses new records without a select on channels
+	// every sender and the writer share.
+	closing   atomic.Bool
 	once      sync.Once
 	drainOnce sync.Once
 	counters  *transportCounters
@@ -88,14 +93,16 @@ func newConnWriterWrap(conn net.Conn, queue int, counters *transportCounters, wr
 
 // enqueue hands a record to the writer. On success the writer owns fb; on
 // error the caller keeps ownership (so the hub can requeue the bytes).
+// Only a full queue makes it select against the writer's shutdown.
 //
 //ufc:hotpath
 func (cw *connWriter) enqueue(fb *frameBuf) error {
+	if cw.closing.Load() {
+		return cw.closeErr()
+	}
 	select {
-	case <-cw.done:
-		return cw.closeErr()
-	case <-cw.drain:
-		return cw.closeErr()
+	case cw.q <- fb:
+		return nil
 	default:
 	}
 	select {
@@ -120,6 +127,7 @@ func (cw *connWriter) fail(cause error) {
 			cw.err = fmt.Errorf("%w: %v", ErrClosed, cause)
 		}
 		cw.errMu.Unlock()
+		cw.closing.Store(true)
 		close(cw.done)
 		_ = cw.conn.Close() //ufc:discard the writer is failing with its own cause already
 	})
@@ -149,6 +157,7 @@ func (cw *connWriter) close(cause error) {
 func (cw *connWriter) shutdown() {
 	//ufc:discard a failed deadline set degrades to a blocking flush, which fail() still bounds
 	_ = cw.conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
+	cw.closing.Store(true)
 	cw.drainOnce.Do(func() { close(cw.drain) })
 	cw.wg.Wait()
 	cw.fail(ErrClosed)

@@ -10,6 +10,7 @@ import (
 	"context"
 	"math"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -297,6 +298,99 @@ func TestChaosFrontEndCrashProximityFallback(t *testing.T) {
 		if res.Allocation.Lambda[2][j] != want {
 			t.Fatalf("proximity row lambda[2] = %v, want all %v at dc %d",
 				res.Allocation.Lambda[2], inst.Arrivals[2], best)
+		}
+	}
+}
+
+// lateFinalTransport makes one front-end's final the last the coordinator
+// collects and loses the coordinator's first ack of it: the front-end's
+// finals are dropped until every other agent's final has been delivered,
+// and the first KindFinalAck to it is dropped. The coordinator has then
+// collected every final and returned, so only a retransmitted final can
+// still get the front-end its ack.
+type lateFinalTransport struct {
+	distsim.Transport
+	fe     string
+	others int // agents whose finals must be delivered before fe's
+
+	mu         sync.Mutex
+	finals     map[string]bool
+	ackDropped bool
+}
+
+func (l *lateFinalTransport) Send(to string, m distsim.Message) error {
+	switch {
+	case m.Kind == distsim.KindFinal && m.From != l.fe:
+		err := l.Transport.Send(to, m)
+		l.mu.Lock()
+		l.finals[m.From] = true
+		l.mu.Unlock()
+		return err
+	case m.Kind == distsim.KindFinal:
+		l.mu.Lock()
+		early := len(l.finals) < l.others
+		l.mu.Unlock()
+		if early {
+			return nil
+		}
+	case m.Kind == distsim.KindFinalAck && to == l.fe:
+		l.mu.Lock()
+		drop := !l.ackDropped
+		l.ackDropped = true
+		l.mu.Unlock()
+		if drop {
+			return nil
+		}
+	}
+	return l.Transport.Send(to, m)
+}
+
+// TestLateFinalAnsweredAfterCoordinatorReturns: when the coordinator's
+// ack of the last final is lost, the coordinator has already returned.
+// Its mailbox answers the front-end's retransmitted final, so the run
+// returns in a small fraction of the front-end's final-phase wait
+// (DeadAfter × 3 × MessageDeadline, 4.5 s under this policy) and is still
+// the in-process solution.
+func TestLateFinalAnsweredAfterCoordinatorReturns(t *testing.T) {
+	inst := testInstance(t, 1)
+	seqAlloc, _, seqStats, err := core.Solve(inst, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol := chaosPolicy()
+	// A steady retransmission every millisecond for the whole phase, so
+	// the front-end's next final follows the lost ack at once.
+	pol.BackoffFactor, pol.MaxRetries = 1, 200
+	finalWait := time.Duration(pol.DeadAfter) * 3 * pol.MessageDeadline
+
+	m, n := inst.Cloud.M(), inst.Cloud.N()
+	inner := distsim.NewChanTransport(distsim.AllAgentIDs(m, n), distsim.ChanOptions{})
+	tr := &lateFinalTransport{Transport: inner, fe: "fe-0", others: m + n - 1, finals: map[string]bool{}}
+	defer func() { _ = tr.Close() }()
+	start := time.Now()
+	res, err := distsim.Run(context.Background(), inst, distsim.RunOptions{Resilience: pol}, tr)
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.mu.Lock()
+	dropped := tr.ackDropped
+	tr.mu.Unlock()
+	if !dropped {
+		t.Fatal("the coordinator's ack to fe-0 was never sent")
+	}
+	if elapsed > finalWait/4 {
+		t.Fatalf("run took %v: fe-0 waited out its lost final ack (final-phase wait %v)", elapsed, finalWait)
+	}
+	if res.Degradation != nil || res.Stats.Iterations != seqStats.Iterations {
+		t.Fatalf("%d iterations (sequential %d), degradation %+v", res.Stats.Iterations, seqStats.Iterations, res.Degradation)
+	}
+	for i := range seqAlloc.Lambda {
+		for j := range seqAlloc.Lambda[i] {
+			if seqAlloc.Lambda[i][j] != res.Allocation.Lambda[i][j] {
+				t.Fatalf("lambda[%d][%d]: distributed %v vs sequential %v (must be bit-identical)",
+					i, j, res.Allocation.Lambda[i][j], seqAlloc.Lambda[i][j])
+			}
 		}
 	}
 }

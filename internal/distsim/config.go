@@ -127,7 +127,9 @@ type DialConfig struct {
 	// AgentIDs are the agent ids hosted by this node; the dial returns a
 	// *TCPNode. Mutually exclusive with LookupName.
 	AgentIDs []string
-	// Buffer is the per-agent inbox capacity (default 64). Node mode only.
+	// Buffer bounds each hosted agent's mailbox (default 64). It is a
+	// bound, not preallocated storage: a mailbox grows only as messages
+	// queue. Node mode only.
 	Buffer int
 	// HeartbeatInterval and HeartbeatMiss configure link liveness (see
 	// NodeOptions). Node mode only.

@@ -103,8 +103,9 @@ func TestDistributedMatchesSequentialExactly(t *testing.T) {
 // behind it, so one transport carries solve after solve under either
 // failure policy. Every solve must be bit-identical to the sequential
 // engine, and after every Run the goroutine count must be back at its
-// pre-run value — an inbox drainer outliving its run would steal the
-// next run's messages.
+// pre-run value — a goroutine outliving its run, such as the exited
+// coordinator's late-final responder, would steal the next run's
+// messages.
 func TestBackToBackRunsOnOneTransport(t *testing.T) {
 	inst := testInstance(t, 1)
 	seqAlloc, _, seqStats, err := core.Solve(inst, core.Options{})
@@ -271,13 +272,22 @@ func (m *multiNode) Send(to string, msg distsim.Message) error {
 	return m.nodes[0].Send(to, msg)
 }
 
-func (m *multiNode) Inbox(id string) (<-chan distsim.Message, error) {
+func (m *multiNode) Inbox(id string) (*distsim.Mailbox, error) {
 	for _, n := range m.nodes {
-		if ch, err := n.Inbox(id); err == nil {
-			return ch, nil
+		if box, err := n.Inbox(id); err == nil {
+			return box, nil
 		}
 	}
 	return nil, distsim.ErrUnknownAgent
+}
+
+// recvWithin receives one message from box, giving up after d: the error
+// is distsim.ErrClosed once box is closed and empty, and
+// context.DeadlineExceeded on timeout.
+func recvWithin(box *distsim.Mailbox, d time.Duration) (distsim.Message, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	return box.Recv(ctx)
 }
 
 func (m *multiNode) Close() error {
@@ -510,14 +520,49 @@ func TestHubRedeliversAfterReconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case got := <-inbox:
-		if got.Kind != want.Kind || got.Iter != want.Iter || got.From != want.From ||
-			len(got.Payload) != len(want.Payload) || got.Payload[1] != want.Payload[1] {
-			t.Fatalf("redelivered message %+v, want %+v", got, want)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("pending message never redelivered to reconnected node")
+	got, err := recvWithin(inbox, 5*time.Second)
+	if err != nil {
+		t.Fatalf("pending message never redelivered to reconnected node: %v", err)
+	}
+	if got.Kind != want.Kind || got.Iter != want.Iter || got.From != want.From ||
+		len(got.Payload) != len(want.Payload) || got.Payload[1] != want.Payload[1] {
+		t.Fatalf("redelivered message %+v, want %+v", got, want)
+	}
+}
+
+// TestDialLargeBufferPreallocatesNothing: Buffer is a bound, not
+// storage. A node hosting the 221 agents of the 20×200 fleet with Buffer
+// 4096 — the bound the benchmark's dist-tcp node passes — allocates its
+// mailboxes' storage only as messages queue; inboxes built at the full
+// bound took about 69 MB. The node still delivers.
+func TestDialLargeBufferPreallocatesNothing(t *testing.T) {
+	hub, err := distsim.Listen(context.Background(), distsim.ListenConfig{Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = hub.Close() }()
+	ids := distsim.AllAgentIDs(20, 200)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ep, err := distsim.Dial(context.Background(), distsim.DialConfig{Addr: hub.Addr(), AgentIDs: ids, Buffer: 4096})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = ep.Close() }()
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 4<<20 {
+		t.Fatalf("Dial of %d agents with Buffer 4096 allocated %.1f MB, want under 4 MB", len(ids), float64(got)/(1<<20))
+	}
+	node := ep.(*distsim.TCPNode)
+	if err := node.Send("dc-199", distsim.Message{Kind: distsim.KindReport, Iter: 1, From: "fe-0", Payload: []float64{1}}); err != nil {
+		t.Fatal(err)
+	}
+	box, err := node.Inbox("dc-199")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err := recvWithin(box, 5*time.Second); err != nil || m.From != "fe-0" {
+		t.Fatalf("hosted agent received %+v, %v", m, err)
 	}
 }
 
@@ -664,16 +709,15 @@ func TestCloseFlushesPendingSends(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := 0; k < burst; k++ {
-		select {
-		case msg, ok := <-inbox:
-			if !ok {
-				t.Fatalf("inbox closed after %d of %d messages", k, burst)
-			}
-			if len(msg.Payload) != 1 || msg.Payload[0] != float64(k) {
-				t.Fatalf("message %d out of order or corrupt: %+v", k, msg)
-			}
-		case <-time.After(5 * time.Second):
+		msg, err := recvWithin(inbox, 5*time.Second)
+		switch {
+		case errors.Is(err, distsim.ErrClosed):
+			t.Fatalf("inbox closed after %d of %d messages", k, burst)
+		case err != nil:
 			t.Fatalf("received %d of %d messages sent before Close", k, burst)
+		}
+		if len(msg.Payload) != 1 || msg.Payload[0] != float64(k) {
+			t.Fatalf("message %d out of order or corrupt: %+v", k, msg)
 		}
 	}
 }

@@ -65,7 +65,7 @@ type Partition struct {
 }
 
 // Crash silences Agent from iteration AtIter onward: every message to or
-// from it is dropped and its inbox is closed, so the hosting worker
+// from it is dropped and its mailbox is closed, so the hosting worker
 // aborts — modelling a node that dies mid-solve.
 type Crash struct {
 	Agent  string `json:"agent"`
@@ -402,6 +402,11 @@ func (f *FaultTransport) crashCheck(id string, iter int) *crashGate {
 	}
 	g.once.Do(func() {
 		close(g.ch)
+		// The victim takes what is already queued, then sees its mailbox
+		// closed; later deliveries to it are discarded.
+		if mb, err := f.inner.Inbox(id); err == nil {
+			mb.close()
+		}
 		// Crash activation is a fault-plan trigger: leave a breadcrumb and
 		// capture the flight ring before degraded operation overwrites it.
 		if idx, ok := agentIndex(id); ok {
@@ -440,51 +445,11 @@ func (f *FaultTransport) nextAttempt(from, to string, kind Kind, iter int) int {
 	return att
 }
 
-// Inbox implements Transport. Inboxes of agents with a scheduled crash
-// are forwarded through a goroutine that closes the returned channel when
-// the crash activates, so the hosting worker observes the death.
-func (f *FaultTransport) Inbox(id string) (<-chan Message, error) {
-	in, err := f.inner.Inbox(id)
-	if err != nil {
-		return nil, err
-	}
-	g, ok := f.gates[id]
-	if !ok {
-		return in, nil
-	}
-	out := make(chan Message, 64)
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		close(out)
-		return out, nil
-	}
-	f.wg.Add(1)
-	f.mu.Unlock()
-	go func() {
-		defer f.wg.Done()
-		defer close(out)
-		for {
-			select {
-			case m, alive := <-in:
-				if !alive {
-					return
-				}
-				select {
-				case out <- m:
-				case <-g.ch:
-					return
-				case <-f.done:
-					return
-				}
-			case <-g.ch:
-				return
-			case <-f.done:
-				return
-			}
-		}
-	}()
-	return out, nil
+// Inbox implements Transport: the inner transport's mailbox, which a
+// crash closes when it activates (see crashCheck), so the hosting worker
+// observes the death.
+func (f *FaultTransport) Inbox(id string) (*Mailbox, error) {
+	return f.inner.Inbox(id)
 }
 
 // Close implements Transport; it tears down the wrapper's goroutines and

@@ -1,6 +1,8 @@
 package distsim_test
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -50,19 +52,20 @@ func collectFaulted(t *testing.T, plan *distsim.FaultPlan, iters int) ([]int, di
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A canceled context makes Recv take only what is already queued.
+	queued, cancel := context.WithCancel(context.Background())
+	cancel()
 	var got []int
 	for k := 1; k <= iters; k++ {
 		if err := ft.Send("b", distsim.Message{From: "a", Kind: distsim.KindReport, Iter: k}); err != nil {
 			t.Fatal(err)
 		}
-	drain:
 		for {
-			select {
-			case m := <-inbox:
-				got = append(got, m.Iter)
-			default:
-				break drain
+			m, err := inbox.Recv(queued)
+			if err != nil {
+				break
 			}
+			got = append(got, m.Iter)
 		}
 	}
 	st := ft.Stats()
@@ -128,13 +131,12 @@ func TestFaultCrashSilencesAgentAndClosesInbox(t *testing.T) {
 	if err := ft.Send("b", distsim.Message{From: "a", Kind: distsim.KindRouting, Iter: 1}); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case m := <-inbox:
-		if m.Iter != 1 {
-			t.Fatalf("pre-crash delivery iter = %d, want 1", m.Iter)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("pre-crash message never arrived")
+	m, err := recvWithin(inbox, 2*time.Second)
+	if err != nil {
+		t.Fatalf("pre-crash message never arrived: %v", err)
+	}
+	if m.Iter != 1 {
+		t.Fatalf("pre-crash delivery iter = %d, want 1", m.Iter)
 	}
 	if ft.Crashed("b") {
 		t.Fatal("crash activated before AtIter")
@@ -144,12 +146,10 @@ func TestFaultCrashSilencesAgentAndClosesInbox(t *testing.T) {
 	if err := ft.Send("b", distsim.Message{From: "a", Kind: distsim.KindRouting, Iter: 3}); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case m, alive := <-inbox:
-		if alive {
-			t.Fatalf("post-crash delivery leaked: %+v", m)
-		}
-	case <-time.After(2 * time.Second):
+	switch m, err := recvWithin(inbox, 2*time.Second); {
+	case err == nil:
+		t.Fatalf("post-crash delivery leaked: %+v", m)
+	case !errors.Is(err, distsim.ErrClosed):
 		t.Fatal("victim inbox not closed after crash")
 	}
 	if !ft.Crashed("b") {
@@ -175,7 +175,9 @@ func TestFaultZeroPlanPassthroughAllocFree(t *testing.T) {
 			if err := tr.Send("a", msg); err != nil {
 				t.Fatal(err)
 			}
-			<-inbox
+			if _, err := inbox.Recv(context.Background()); err != nil {
+				t.Fatal(err)
+			}
 		})
 	}
 	bare := distsim.NewChanTransport([]string{"a"}, distsim.ChanOptions{})
@@ -229,7 +231,9 @@ func TestFaultChanInFlightGaugeDrainsOnDelivery(t *testing.T) {
 		if err := tr.Send("a", distsim.Message{From: "a", Kind: distsim.KindReport, Iter: k}); err != nil {
 			t.Fatal(err)
 		}
-		<-inbox
+		if _, err := recvWithin(inbox, 2*time.Second); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if got := tr.InFlight(); got != 0 {
 		t.Fatalf("InFlight = %d after full delivery, want 0", got)

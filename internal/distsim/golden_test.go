@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/hex"
+	"errors"
 	"flag"
 	"io"
 	"net"
@@ -311,21 +312,21 @@ func TestGoldenV1Decode(t *testing.T) {
 	}
 }
 
-// collectInbox drains n messages from box with a deadline.
-func collectInbox(t *testing.T, box <-chan Message, n int) []Message {
+// collectInbox receives n messages from box with a deadline.
+func collectInbox(t *testing.T, box *Mailbox, n int) []Message {
 	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
 	msgs := make([]Message, 0, n)
-	timeout := time.After(10 * time.Second)
 	for len(msgs) < n {
-		select {
-		case m, ok := <-box:
-			if !ok {
-				t.Fatalf("inbox closed after %d of %d messages", len(msgs), n)
-			}
-			msgs = append(msgs, m)
-		case <-timeout:
+		m, err := box.Recv(ctx)
+		switch {
+		case errors.Is(err, ErrClosed):
+			t.Fatalf("inbox closed after %d of %d messages", len(msgs), n)
+		case err != nil:
 			t.Fatalf("timed out after %d of %d messages", len(msgs), n)
 		}
+		msgs = append(msgs, m)
 	}
 	return msgs
 }

@@ -150,16 +150,15 @@ func dialRoundtrip(t *testing.T, addr string, sec SecurityConfig) (int, error) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case m, ok := <-box:
-		if !ok {
-			t.Fatal("inbox closed before the message arrived")
-		}
-		if m.From != "fe-0" || len(m.Payload) != 1 || m.Payload[0] != 4.25 {
-			t.Fatalf("roundtrip message corrupted: %+v", m)
-		}
-	case <-time.After(5 * time.Second):
+	m, err := recvWithin(box, 5*time.Second)
+	switch {
+	case errors.Is(err, ErrClosed):
+		t.Fatal("inbox closed before the message arrived")
+	case err != nil:
 		t.Fatal("message did not round-trip through the hub")
+	}
+	if m.From != "fe-0" || len(m.Payload) != 1 || m.Payload[0] != 4.25 {
+		t.Fatalf("roundtrip message corrupted: %+v", m)
 	}
 	return ep.WireVersion(), nil
 }
@@ -240,12 +239,10 @@ func TestHandshakeLegacyClientAgainstAuthHub(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case _, ok := <-box:
-		if ok {
-			t.Fatal("unexpected message on a refused connection")
-		}
-	case <-time.After(5 * time.Second):
+	switch _, err := recvWithin(box, 5*time.Second); {
+	case err == nil:
+		t.Fatal("unexpected message on a refused connection")
+	case !errors.Is(err, ErrClosed):
 		t.Fatal("hub did not tear the legacy connection down")
 	}
 	if hub.Stats().HandshakeRefusals == 0 {

@@ -128,24 +128,40 @@ func RunAgents(ctx context.Context, inst *core.Instance, opts RunOptions, transp
 	for k, run := range runs {
 		go func() { errs[k] = run(); exited <- k }()
 	}
-	// Any exited agent — finished or failed — stops reading its inbox
-	// while stragglers may still retransmit to it. Drain it so a full
-	// mailbox can never block live senders and cascade into a fleet-wide
-	// deadlock on a synchronous transport; the drainers stop before
-	// RunAgents returns, so they never steal a later run's messages.
-	stopDrain := make(chan struct{})
-	var drainers sync.WaitGroup
+	// Any exited agent — finished or failed — stops reading its mailbox
+	// while stragglers may still retransmit to it. Its mailbox drops them,
+	// so a full mailbox can never block live senders and cascade into a
+	// fleet-wide deadlock on a synchronous transport. The exited
+	// coordinator's mailbox instead answers late finals (answerFinals).
+	// Both end before RunAgents returns, so a later run on the transport
+	// receives normally and never sees this run's stragglers.
+	var exitedBoxes []*Mailbox
+	answerCtx, stopAnswering := context.WithCancel(ctx)
+	var answering sync.WaitGroup
 	defer func() {
-		close(stopDrain)
-		drainers.Wait() //ufc:ctx bounded: stopDrain, closed just above, ends every drainer after one non-blocking sweep
+		stopAnswering()
+		answering.Wait() //ufc:ctx bounded: stopAnswering, called just above, ends the responder's wait
+		for _, mb := range exitedBoxes {
+			mb.setDrop(false)
+		}
 	}()
 	var firstErr error
 	var workerErrs []string
 	for range runs {
 		k := <-exited
 		id, err := agentIDs[k], errs[k]
-		drainers.Add(1)
-		go drainInbox(transport, id, stopDrain, &drainers)
+		if mb, ierr := transport.Inbox(id); ierr == nil {
+			exitedBoxes = append(exitedBoxes, mb)
+			if id == tab.coord {
+				answering.Add(1)
+				go func() {
+					defer answering.Done()
+					answerFinals(answerCtx, transport, mb, id)
+				}()
+			} else {
+				mb.setDrop(true)
+			}
+		}
 		if err == nil {
 			continue
 		}
@@ -205,29 +221,23 @@ func (o RunOptions) policy() Resilience {
 	return Resilience{MessageDeadline: timeout, DeadAfter: 1, tf: realTimers{}}
 }
 
-// drainInbox consumes an exited agent's mailbox until stop closes (then
-// takes whatever has already arrived) or the transport closes it, and
-// marks wg done. Without a reader, peer retransmissions aimed at the
-// exited agent would fill its bounded inbox and block the senders — and
-// with a synchronous in-process transport that backpressure cascades into
-// a fleet-wide deadlock.
-func drainInbox(t Transport, id string, stop <-chan struct{}, wg *sync.WaitGroup) {
-	defer wg.Done()
-	in, err := t.Inbox(id)
-	if err != nil {
-		return
-	}
+// answerFinals serves the exited coordinator's mailbox until ctx ends or
+// the mailbox closes: it acknowledges every KindFinal for the iteration it
+// carries and discards everything else, then leaves the mailbox dropping.
+// An agent whose final ack was lost after the coordinator returned
+// retransmits its final and is answered here, instead of waiting out
+// every deadline of its final phase — as TCP's TIME_WAIT re-acknowledges
+// a retransmitted FIN. Under fail-fast nothing is retransmitted, so it
+// sees nothing.
+func answerFinals(ctx context.Context, t Transport, mb *Mailbox, coord string) {
+	defer mb.setDrop(true)
 	for {
-		select {
-		case _, ok := <-in:
-			if !ok {
-				return
-			}
-		case <-stop:
-			for range len(in) {
-				<-in
-			}
+		m, err := mb.Recv(ctx)
+		if err != nil {
 			return
+		}
+		if m.Kind == KindFinal {
+			_ = t.Send(m.From, Message{Kind: KindFinalAck, Iter: m.Iter, From: coord}) //ufc:discard best-effort, like the running coordinator's solicited resend; the agent retries its final
 		}
 	}
 }

@@ -230,8 +230,8 @@ func (s *sendLog) Send(to string, m Message) error {
 	s.sends = append(s.sends, outRec{to: to, m: m})
 	return nil
 }
-func (s *sendLog) Inbox(string) (<-chan Message, error) { return nil, ErrUnknownAgent }
-func (s *sendLog) Close() error                         { return nil }
+func (s *sendLog) Inbox(string) (*Mailbox, error) { return nil, ErrUnknownAgent }
+func (s *sendLog) Close() error                   { return nil }
 
 func (s *sendLog) count() int {
 	s.mu.Lock()

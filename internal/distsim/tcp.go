@@ -693,21 +693,20 @@ type TCPNode struct {
 
 	// Inbox tables are built at construction and never mutated, so the
 	// read loop and Inbox need no lock to consult them.
-	boxIdx  []chan Message
-	boxName map[string]chan Message
+	boxIdx  []*Mailbox
+	boxName map[string]*Mailbox
 
 	haltOnce sync.Once
 	done     chan struct{}
-
-	boxMu       sync.Mutex
-	boxesClosed bool
 }
 
 var _ Transport = (*TCPNode)(nil)
 
 // NodeOptions configures a TCPNode beyond its hosted ids.
 type NodeOptions struct {
-	// Buffer is the per-agent inbox capacity (default 64).
+	// Buffer bounds each hosted agent's mailbox (default 64): the read
+	// loop waits while the recipient's is full. It is a bound, not
+	// preallocated storage, so a large value costs nothing up front.
 	Buffer int
 	// HeartbeatInterval, when positive, makes the node ping the hub at
 	// this period and enforce link liveness: a read silence longer than
@@ -771,11 +770,11 @@ func newTCPNode(conn net.Conn, wireVersion int, cfg *DialConfig) (*TCPNode, erro
 		conn:        conn,
 		opts:        opts,
 		wireVersion: wireVersion,
-		boxName:     make(map[string]chan Message),
+		boxName:     make(map[string]*Mailbox),
 		done:        make(chan struct{}),
 	}
 	for _, id := range localIDs {
-		box := make(chan Message, opts.Buffer)
+		box := newMailbox(opts.Buffer)
 		if idx, ok := agentIndex(id); ok {
 			for int(idx) >= len(n.boxIdx) {
 				n.boxIdx = append(n.boxIdx, nil)
@@ -875,7 +874,7 @@ func (n *TCPNode) readLoop() {
 		if n.opts.Tracer != nil && fr.msg.Trace.Valid() {
 			n.opts.Tracer.Event(fr.msg.Trace, "node.recv", tracing.I64("kind", int64(fr.msg.Kind)), tracing.I64("iter", int64(fr.msg.Iter)))
 		}
-		var box chan Message
+		var box *Mailbox
 		if fr.named {
 			box = n.boxName[fr.to]
 		} else if int(fr.toIdx) < len(n.boxIdx) {
@@ -884,31 +883,22 @@ func (n *TCPNode) readLoop() {
 		if box == nil {
 			continue // not hosted here; a stale hub route — drop
 		}
-		select {
-		case box <- fr.msg:
-		case <-n.done:
+		if !box.put(fr.msg, n.done) {
 			return
 		}
 	}
 }
 
-// closeBoxes closes every inbox exactly once. Only the read loop sends on
-// the boxes, and it calls this on exit, so the close cannot race a send.
+// closeBoxes closes every inbox; the read loop calls it on exit.
 func (n *TCPNode) closeBoxes() {
-	n.boxMu.Lock()
-	defer n.boxMu.Unlock()
-	if n.boxesClosed {
-		return
-	}
-	n.boxesClosed = true
 	for _, box := range n.boxIdx {
 		if box != nil {
-			close(box)
+			box.close()
 		}
 	}
 	//ufc:nondet close order of receive boxes is observationally irrelevant
 	for _, box := range n.boxName {
-		close(box)
+		box.close()
 	}
 }
 
@@ -931,7 +921,7 @@ func (n *TCPNode) Send(to string, m Message) error {
 }
 
 // Inbox implements Transport.
-func (n *TCPNode) Inbox(id string) (<-chan Message, error) {
+func (n *TCPNode) Inbox(id string) (*Mailbox, error) {
 	if idx, ok := agentIndex(id); ok {
 		if int(idx) < len(n.boxIdx) && n.boxIdx[idx] != nil {
 			return n.boxIdx[idx], nil

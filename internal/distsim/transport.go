@@ -4,10 +4,10 @@
 // mirroring the interaction pattern of Fig. 2 in the paper. The numerical
 // steps are the exact per-agent sub-problem solvers from internal/core, so
 // the protocol produces bit-identical iterates to the sequential engine —
-// which the tests assert. Transports include an in-memory channel
-// transport with injectable delay/reordering and transient loss
-// (redelivery), and a TCP hub speaking a compact binary framing codec
-// with coalesced, buffered writes (see wire.go).
+// which the tests assert. Transports include an in-memory transport with
+// injectable delay/reordering and transient loss (redelivery), and a TCP
+// hub speaking a compact binary framing codec with coalesced, buffered
+// writes (see wire.go).
 package distsim
 
 import (
@@ -65,8 +65,9 @@ type Message struct {
 type Transport interface {
 	// Send delivers m to the named agent's inbox.
 	Send(to string, m Message) error
-	// Inbox returns the receive channel of the named agent.
-	Inbox(id string) (<-chan Message, error)
+	// Inbox returns the named agent's mailbox. The transport's Buffer
+	// bounds it; its storage grows only as messages queue.
+	Inbox(id string) (*Mailbox, error)
 	// Close tears the transport down; pending receives unblock.
 	Close() error
 }
@@ -91,7 +92,9 @@ type ChanOptions struct {
 	// RetransmitDelay is the redelivery latency for lost messages
 	// (default 2·MaxDelay + 1ms).
 	RetransmitDelay time.Duration
-	// Buffer is the inbox capacity (default 64).
+	// Buffer bounds each agent's mailbox (default 64): a sender waits
+	// while the recipient's is full. It is a bound, not preallocated
+	// storage, so a large value costs nothing up front.
 	Buffer int
 }
 
@@ -114,7 +117,8 @@ func (c *chanCounters) register(reg *telemetry.Registry, labels ...telemetry.Lab
 	reg.RegisterCounter("ufc_transport_canceled_total", "in-flight messages canceled by Close", &c.canceled, labels...)
 }
 
-// ChanTransport is an in-memory Transport backed by channels.
+// ChanTransport is an in-memory Transport: every agent's inbox is a
+// Mailbox in this process.
 type ChanTransport struct {
 	opts ChanOptions
 
@@ -122,7 +126,7 @@ type ChanTransport struct {
 
 	mu     sync.Mutex
 	rng    *rand.Rand
-	boxes  map[string]chan Message
+	boxes  map[string]*Mailbox
 	closed bool
 	done   chan struct{}  // closed by Close; unblocks senders
 	wg     sync.WaitGroup // in-flight sends (immediate and delayed)
@@ -141,11 +145,11 @@ func NewChanTransport(ids []string, opts ChanOptions) *ChanTransport {
 	t := &ChanTransport{
 		opts:  opts,
 		rng:   rand.New(rand.NewSource(opts.Seed)),
-		boxes: make(map[string]chan Message, len(ids)),
+		boxes: make(map[string]*Mailbox, len(ids)),
 		done:  make(chan struct{}),
 	}
 	for _, id := range ids {
-		t.boxes[id] = make(chan Message, opts.Buffer)
+		t.boxes[id] = newMailbox(opts.Buffer)
 	}
 	return t
 }
@@ -171,9 +175,8 @@ func (t *ChanTransport) Send(to string, m Message) error {
 	}
 	// Every send — immediate or delayed — holds a wg slot until the
 	// message is in the box (or the transport closes), so Close can wait
-	// for in-flight sends before closing the inboxes. Without this, a
-	// concurrent Close racing the blocking `box <- m` below is a send on
-	// a closed channel.
+	// for in-flight sends before closing the inboxes: no message lands in
+	// a mailbox after Close has returned.
 	t.wg.Add(1)
 	t.counters.accepted.Inc()
 	t.counters.inflight.Add(1)
@@ -203,17 +206,15 @@ func (t *ChanTransport) Send(to string, m Message) error {
 }
 
 // deliver blocks until the message is enqueued or the transport closes.
-func (t *ChanTransport) deliver(box chan Message, m Message) error {
-	select {
-	case box <- m:
-		t.counters.inflight.Add(-1)
-		t.counters.delivered.Inc()
-		return nil
-	case <-t.done:
-		t.counters.inflight.Add(-1)
+func (t *ChanTransport) deliver(box *Mailbox, m Message) error {
+	ok := box.put(m, t.done)
+	t.counters.inflight.Add(-1)
+	if !ok {
 		t.counters.canceled.Inc()
 		return ErrClosed
 	}
+	t.counters.delivered.Inc()
+	return nil
 }
 
 // InFlight reports the number of messages accepted by Send and not yet
@@ -228,7 +229,7 @@ func (t *ChanTransport) RegisterMetrics(reg *telemetry.Registry, labels ...telem
 }
 
 // Inbox implements Transport.
-func (t *ChanTransport) Inbox(id string) (<-chan Message, error) {
+func (t *ChanTransport) Inbox(id string) (*Mailbox, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	box, ok := t.boxes[id]
@@ -252,7 +253,7 @@ func (t *ChanTransport) Close() error {
 	t.mu.Lock()
 	//ufc:nondet close order of receive boxes is observationally irrelevant
 	for _, box := range t.boxes {
-		close(box)
+		box.close()
 	}
 	t.mu.Unlock()
 	return nil
